@@ -26,7 +26,9 @@ ENV_FLAG = "LINKFORMS_PURE_NUMPY"
 # int64: r * dmax * dmax * D <= 2**62 with the margins below.
 _MOD_LIMIT = 1 << 20
 _RANK_LIMIT = 64
-_CHUNK = 512
+# Cells (rows x columns) of one int64 block of a pairing table; bounds the
+# transient memory of the numpy pair searches.
+_BLOCK_CELLS = 1 << 18
 
 
 def pure_numpy_requested() -> bool:
@@ -173,6 +175,18 @@ def _pair_table_numpy(X, N, Y, D):
     return (XN @ Y.T) % D
 
 
+def _row_blocks(m, first):
+    """Row ranges covering range(m) for an m-column table: ``first`` rows,
+    then doubling, each block at most _BLOCK_CELLS cells (and one row)."""
+    cap = max(1, _BLOCK_CELLS // max(m, 1))
+    rows = min(first, cap)
+    start = 0
+    while start < m:
+        yield start, min(start + rows, m)
+        start += rows
+        rows = min(2 * rows, cap)
+
+
 def _pairs_hitting_numpy(X, N, D, target, offset, limit):
     m = X.shape[0]
     XN = (X @ N) % D
@@ -180,8 +194,8 @@ def _pairs_hitting_numpy(X, N, D, target, offset, limit):
     total = 0
     cap = limit if limit >= 0 else m * m
     kept = 0
-    for start in range(0, m, _CHUNK):
-        vals = (XN[start : start + _CHUNK] @ X.T) % D
+    for start, stop in _row_blocks(m, m):
+        vals = (XN[start:stop] @ X.T) % D
         ii, jj = np.nonzero(vals == target)
         c = ii.shape[0]
         if c and kept < cap:
@@ -201,10 +215,11 @@ def _pairs_hitting_numpy(X, N, D, target, offset, limit):
 
 
 def _first_pair_numpy(X, N, D, target):
+    # The first hit is usually in the first rows, so blocks grow from one row.
     m = X.shape[0]
     XN = (X @ N) % D
-    for start in range(0, m, _CHUNK):
-        vals = (XN[start : start + _CHUNK] @ X.T) % D
+    for start, stop in _row_blocks(m, 1):
+        vals = (XN[start:stop] @ X.T) % D
         ii, jj = np.nonzero(vals == target)
         if ii.shape[0]:
             return int(ii[0]) + start, int(jj[0])

@@ -65,6 +65,7 @@ class LinkingForm:
                     )
         self.gram = rows
         self.name = name
+        self._w_rows_cache: dict[int, tuple] = {}
 
     # -- integer numerator representation -----------------------------------
 
@@ -126,21 +127,52 @@ class LinkingForm:
         c = [sum(x.coeffs[t] * N[t][i] for t in range(r)) % self.denominator for i in range(r)]
         return c, self.denominator
 
-    def torsion_matrix(self, k: int, cap: int = 10**8):
-        """int64 array of {z : k z = 0} coefficients in lexicographic order."""
+    def torsion_matrix(self, k: int, cap: int = 10**8, dtype=np.int64):
+        """Array of {z : k z = 0} coefficients in lexicographic order.
+
+        ``dtype=object`` holds exact Python ints, for orders beyond int64.
+        """
         count = self.group.torsion_count(k)
         if count > cap:
             raise CapExceeded(
                 f"{count} torsion elements exceed cap {cap}", needed=count, cap=cap
             )
         axes = [
-            np.arange(0, d, d // math.gcd(d, k), dtype=np.int64)
+            np.arange(0, d, d // math.gcd(d, k), dtype=dtype)
             for d in self.group.orders
         ]
         if not axes:
-            return np.zeros((1, 0), dtype=np.int64)
+            return np.zeros((1, 0), dtype=dtype)
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
+
+    def _w_rows(self, k: int):
+        """(X, N, cum) for the congruence b(x, y) = 1/k on M[k], cached per k.
+
+        X holds the k-torsion rows, N the Gram numerators and cum[i] the
+        number of solutions (x, y) with x among the first i + 1 rows.  For
+        c = x N mod D and step_i = d_i / gcd(d_i, k), the functional b(x, -)
+        maps M[k] onto the cyclic group of order D / g, g = gcd(D, c_i step_i),
+        so row x has |M[k]| g / D solutions y when g divides D / k and none
+        otherwise.  Inside the int64 gate the arrays are int64; outside it
+        they hold exact Python ints and the same expressions run exactly.
+        Requires k | D.
+        """
+        cached = self._w_rows_cache.get(k)
+        if cached is None:
+            N = self._np_numerators
+            dtype = np.int64
+            if N is None:
+                dtype = object
+                N = np.array(self.numerators, dtype=object)
+            X = self.torsion_matrix(k, dtype=dtype)
+            D = self.denominator
+            steps = np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=dtype)
+            g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
+            counts = np.where(D // k % g == 0, self.group.torsion_count(k) // (D // g), 0)
+            cached = (X, N, np.cumsum(counts, dtype=np.int64))
+            self._w_rows_cache[k] = cached
+        return cached
 
     def __eq__(self, other) -> bool:
         return (
@@ -389,30 +421,14 @@ def count_w_morphisms(form: LinkingForm, k: int) -> int:
 
     Together with strictness those conditions are exactly the morphisms
     W_k -> form.  Counted row by row through the solvability arithmetic of
-    the single congruence b(x, y) = 1/k, so no pair scan is needed.
+    the single congruence b(x, y) = 1/k (``LinkingForm._w_rows``), so no
+    pair scan is needed.
     """
     if k < 2:
         raise InputError("k must be >= 2")
-    D = form.denominator
-    if form.group.rank == 0 or D % k != 0:
+    if form.denominator % k != 0:  # includes rank 0, where D = 1
         return 0
-    X = form.torsion_matrix(k)
-    N = form._np_numerators
-    if N is None:
-        return sum(1 for _ in _iter_w_pairs_exact(form, k))
-    target = D // k
-    V = (X @ N) % D
-    total = 0
-    steps = [d // math.gcd(d, k) for d in form.group.orders]
-    torsion_sizes = [math.gcd(d, k) for d in form.group.orders]
-    tor_count = math.prod(torsion_sizes)
-    for row in V:
-        g = D
-        for c, step in zip(row.tolist(), steps):
-            g = math.gcd(g, c * step)
-        if target % g == 0:
-            total += tor_count * g // D
-    return total
+    return int(form._w_rows(k)[2][-1])
 
 
 def _iter_w_pairs_exact(form: LinkingForm, k: int):
@@ -443,7 +459,7 @@ def morphisms_from_w(
             out.append(w_morphism(form, k, x, y))
         return out
     D = form.denominator
-    X = form.torsion_matrix(k)
+    X = form._w_rows(k)[0]
     pairs, found = _kernels.pairs_hitting(X, N, D, D // k, 0, total)
     assert found == total
     for i, j in pairs.tolist():
@@ -477,34 +493,24 @@ def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
 def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
     """The index-th morphism in the lexicographic enumeration.
 
-    Uses per-row solution counts, so only one torsion row is ever scanned;
-    the full pair table is never materialized.
+    The first call for (form, k) caches the torsion matrix and the
+    cumulative per-row solution counts on the form: 8 bytes per torsion
+    row on top of the matrix.  A lookup then finds its row x by binary
+    search, O(log |M[k]|), and scans that one row for y; the pair table is
+    never materialized.  Forms outside the int64 gate take the same steps
+    in exact integer arithmetic.
     """
-    if index < 0:
-        raise InputError("index must be nonnegative")
+    total = count_w_morphisms(form, k)
+    if not 0 <= index < total:
+        raise InputError(f"index {index} out of range ({total} morphisms)")
+    X, N, cum = form._w_rows(k)
     D = form.denominator
-    N = form._np_numerators
-    if form.group.rank == 0 or D % k != 0 or N is None:
-        raise InputError("no indexed enumeration for this form")
-    X = form.torsion_matrix(k)
-    target = D // k
-    V = (X @ N) % D
-    steps = [d // math.gcd(d, k) for d in form.group.orders]
-    tor_count = math.prod(math.gcd(d, k) for d in form.group.orders)
-    seen = 0
-    for i, row in enumerate(V):
-        g = D
-        for c, step in zip(row.tolist(), steps):
-            g = math.gcd(g, c * step)
-        cnt = tor_count * g // D if target % g == 0 else 0
-        if seen + cnt > index:
-            hits = np.nonzero((X @ V[i]) % D == target)[0]
-            j = int(hits[index - seen])
-            x = form.group.element(tuple(X[i].tolist()))
-            y = form.group.element(tuple(X[j].tolist()))
-            return w_morphism(form, k, x, y)
-        seen += cnt
-    raise InputError(f"index {index} out of range ({seen} morphisms)")
+    i = int(np.searchsorted(cum, index, side="right"))
+    seen = int(cum[i - 1]) if i else 0
+    hits = np.flatnonzero((X @ ((X[i] @ N) % D)) % D == D // k)
+    x = form.group.element(tuple(X[i].tolist()))
+    y = form.group.element(tuple(X[hits[index - seen]].tolist()))
+    return w_morphism(form, k, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,18 @@ def build_l_complex(
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal_rows(X, N, D, images) -> np.ndarray:
+    """Mask of the rows x of X with x N img = 0 mod D for every image.
+
+    ``row_values`` reduces N img mod D before the product with X, which
+    keeps every intermediate inside int64 for inputs that pass the gate.
+    """
+    mask = np.ones(len(X), dtype=bool)
+    for img in images:
+        mask &= _kernels.row_values(np.array(img, dtype=np.int64), N.T, X, D) == 0
+    return mask
+
+
 def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
     """Keys of all vertices adjacent to every morphism in ``morphs``,
     computed from the ambient adjacency definition (orthogonality plus
@@ -238,12 +250,8 @@ def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
                 keys.add(v.key())
         return keys
     X = form.torsion_matrix(k)
-    mask = np.ones(len(X), dtype=bool)
-    for m in morphs:
-        for img in (m.x, m.y):
-            vals = (X @ (N @ np.array(img.coeffs, dtype=np.int64))) % D
-            mask &= vals == 0
-    rows = np.nonzero(mask)[0]
+    images = [img.coeffs for m in morphs for img in (m.x, m.y)]
+    rows = np.nonzero(_orthogonal_rows(X, N, D, images))[0]
     Xsub = X[rows]
     pairs, total = _kernels.pairs_hitting(
         Xsub, N, D, D // k, 0, DEFAULT_LINK_PAIR_CAP

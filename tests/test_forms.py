@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +152,19 @@ def test_indexed_enumeration_matches_list():
         assert w_morphism_by_index(form, 3, i).key() == morphs[i].key()
     with pytest.raises(InputError):
         w_morphism_by_index(form, 3, 2160)
+
+
+def test_indexed_enumeration_outside_int64_gate():
+    # D = 2 * 1048583 exceeds the 2**20 gate, so counts and lookups take
+    # the exact path; every index is served, none reports malformed input
+    form = w_power(2 * 1048583, 2)
+    assert form._np_numerators is None
+    morphs = morphisms_from_w(form, 2)
+    assert count_w_morphisms(form, 2) == len(morphs) == 120
+    for i, m in enumerate(morphs):
+        assert w_morphism_by_index(form, 2, i).key() == m.key()
+    with pytest.raises(InputError):
+        w_morphism_by_index(form, 2, len(morphs))
 
 
 def test_w_morphism_validates_pairing():
@@ -406,3 +420,39 @@ def test_first_morphism_agrees_with_enumeration(seed):
         assert f is None
     else:
         assert f.key() == morphisms_from_w(scrambled, 3, cap=total)[0].key()
+
+
+def brute_lex_keys(form, k):
+    """All (x, y) keys with b(x, y) = 1/k in lexicographic order, read off
+    the full pair table of the k-torsion."""
+    X = form.torsion_matrix(k)
+    D = form.denominator
+    N = np.array(form.numerators, dtype=np.int64)
+    table = ((X @ N) % D @ X.T) % D
+    rows = [tuple(x) for x in X.tolist()]
+    return [(rows[i], rows[j]) for i, j in np.argwhere(table == D // k).tolist()]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([(2,), (4,), (6,), (3, 9)]),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_indexed_enumeration_property(blocks, seed, rnd):
+    """Lookups by index agree with the enumeration for every k | D."""
+    form, _ = scramble_form(block_sum(blocks), random.Random(seed))
+    D = form.denominator
+    for k in (k for k in range(2, D + 1) if D % k == 0):
+        want = brute_lex_keys(form, k)
+        n = count_w_morphisms(form, k)
+        assert n == len(want)
+        if n <= 2000:
+            assert [m.key() for m in morphisms_from_w(form, k)] == want
+            indices = range(n)
+        else:  # W_3 (+) W_9 at k = 9 has 52488 morphisms
+            indices = sorted(rnd.sample(range(n), 300))
+        got = [w_morphism_by_index(form, k, i).key() for i in indices]
+        assert got == [want[i] for i in indices]
+        with pytest.raises(InputError):
+            w_morphism_by_index(form, k, n)

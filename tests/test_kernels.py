@@ -91,6 +91,30 @@ def test_first_pair_matches_reference():
         assert tuple(first_pair(X, N, np.int64(D), np.int64(target))) == want
 
 
+@pytest.mark.parametrize("cells", [_kernels._BLOCK_CELLS, 64])
+@pytest.mark.parametrize("case", ["random", "late", "none"])
+def test_pair_searches_match_argwhere(monkeypatch, cells, case):
+    """Both searches against np.argwhere over the full table, with the
+    default block budget and with one small enough for many blocks."""
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
+    X, N, _, D = small_instance(seed=6, m=40, n=40, r=3)
+    target = 4
+    if case == "late":
+        X[:23] = 0  # zero rows pair to 0: no hit in the blocks of 1, 2, 4, 8 rows
+    elif case == "none":
+        X[:] = 0
+    want = np.argwhere(reference_pair_table(X, N, X, D) == target)
+    if case == "late":
+        assert want[0][0] >= 23
+    if case == "none":
+        assert len(want) == 0
+    pairs, total = pairs_hitting(X, N, np.int64(D), np.int64(target), 0, -1)
+    assert total == len(want)
+    assert np.array_equal(np.asarray(pairs).reshape(-1, 2), want)
+    first = tuple(want[0]) if len(want) else (-1, -1)
+    assert tuple(first_pair(X, N, np.int64(D), np.int64(target))) == first
+
+
 def test_orth_adjacency_matches_reference():
     rng = np.random.default_rng(4)
     D = 9

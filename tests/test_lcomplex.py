@@ -1,3 +1,4 @@
+import math
 import random
 
 import networkx as nx
@@ -8,6 +9,7 @@ from linkforms import (
     CapExceeded,
     InputError,
     LComplex,
+    QZValue,
     build_l_complex,
     are_adjacent,
     are_isomorphic,
@@ -25,7 +27,9 @@ from linkforms import (
     verify_link_iso,
     w_power_vertex_count,
 )
+from linkforms._kernels import fits_int64
 from linkforms.corpus import scramble_form
+from linkforms.lcomplex import _orthogonal_rows
 
 
 def w_power(k, g):
@@ -230,6 +234,58 @@ def test_path_through_hub_without_materializing():
     for a, b in zip(res.path, res.path[1:]):
         assert are_adjacent(a, b)
     assert not L.materialized
+
+
+def test_lazy_paths_on_w3_fifth_power():
+    """Hub paths on W_3^5 (1,162,241,784 vertices) at seeded index pairs.
+
+    The form is nondegenerate on (Z/3)^10, so each nonzero x has 3^9
+    partners y and vertex i has x = the (1 + i // 3^9)-th torsion row.
+    """
+    form = w_power(3, 5)
+    L = build_l_complex(form, 3)
+    assert not L.materialized
+    third = QZValue(1, 3)
+
+    def digits(n):
+        return tuple(n // 3**e % 3 for e in range(9, -1, -1))
+
+    rng = random.Random(5)
+    for _ in range(20):
+        i, j = rng.randrange(L.vertex_count), rng.randrange(L.vertex_count)
+        res = find_short_path(L, i, j)
+        assert res and len(res.path) - 1 <= 4
+        assert res.path[0].x.coeffs == digits(1 + i // 3**9)
+        assert res.path[-1].x.coeffs == digits(1 + j // 3**9)
+        for v in res.path:
+            assert v.x.scale(3).is_zero() and v.y.scale(3).is_zero()
+            assert form.evaluate(v.x, v.y) == third
+        for a, b in zip(res.path, res.path[1:]):
+            assert all(
+                form.evaluate(u, w).is_zero() for u in (a.x, a.y) for w in (b.x, b.y)
+            )
+
+
+def test_orthogonal_rows_at_int64_gate_edge():
+    """The link mask at the largest odd modulus and rank the gate admits,
+    with entries next to 2**20, against Python integers.  The unreduced
+    product x . (N img) exceeds int64 here."""
+    r, D = 64, (1 << 20) - 1
+    assert fits_int64(D, 1 << 20, r)
+    rng = np.random.default_rng(7)
+    N = rng.integers(D - 64, D, size=(r, r))
+    img = rng.integers((1 << 20) - 64, 1 << 20, size=r)
+    X = rng.integers((1 << 20) - 64, 1 << 20, size=(8, r))
+    w = [sum(int(N[a, b]) * int(img[b]) for b in range(r)) for a in range(r)]
+    t = next(a for a in range(r) if math.gcd(w[a], D) == 1)
+    for row in X[:4]:  # make these rows orthogonal to img: solve for entry t
+        rest = sum(int(row[a]) * w[a] for a in range(r) if a != t)
+        row[t] = -rest * pow(w[t], -1, D) % D
+    exact = [sum(int(x[a]) * w[a] for a in range(r)) for x in X]
+    assert max(exact) >= 1 << 63
+    want = [v % D == 0 for v in exact]
+    assert want == [True] * 4 + [False] * 4
+    assert _orthogonal_rows(X, N, D, [img]).tolist() == want
 
 
 def test_path_needs_rank_three_hub(L2):
