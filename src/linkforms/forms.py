@@ -7,7 +7,8 @@ down b everywhere, and strictness (b(x, x) = 0 for every x, including
 
 All Gram entries share the common denominator D = lcm of entry orders, so
 a pairing value is an integer numerator mod D.  The bulk enumeration paths
-hand int64 coefficient arrays to ``linkforms._kernels``; everything
+hand coefficient arrays to ``linkforms._kernels``: int64 inside the
+``fits_int64`` gate, exact Python ints outside it; everything
 structural (complements, splittings, classification) runs exact through
 the Smith-normal-form machinery in ``linkforms.groups``.
 """
@@ -31,6 +32,7 @@ from .groups import (
     solve_congruence_system,
 )
 from .qz import QZValue
+from .snf import prime_factorization
 
 DEFAULT_VERTEX_CAP = 500_000
 
@@ -66,6 +68,7 @@ class LinkingForm:
         self.gram = rows
         self.name = name
         self._w_rows_cache: dict[int, tuple] = {}
+        self._w_counts_cache: dict[int, np.ndarray] = {}
 
     # -- integer numerator representation -----------------------------------
 
@@ -147,32 +150,39 @@ class LinkingForm:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def _w_rows(self, k: int):
-        """(X, N, cum) for the congruence b(x, y) = 1/k on M[k], cached per k.
+        """(X, N) for the congruence b(x, y) = 1/k on M[k], cached per k.
 
-        X holds the k-torsion rows, N the Gram numerators and cum[i] the
-        number of solutions (x, y) with x among the first i + 1 rows.  For
-        c = x N mod D and step_i = d_i / gcd(d_i, k), the functional b(x, -)
-        maps M[k] onto the cyclic group of order D / g, g = gcd(D, c_i step_i),
-        so row x has |M[k]| g / D solutions y when g divides D / k and none
-        otherwise.  Inside the int64 gate the arrays are int64; outside it
-        they hold exact Python ints and the same expressions run exactly.
-        Requires k | D.
+        X holds the k-torsion rows and N the Gram numerators.  This is the
+        one place that picks their dtype: int64 inside the int64 gate, exact
+        Python ints (``dtype=object``) outside it, where the same kernel
+        expressions run exactly.
         """
         cached = self._w_rows_cache.get(k)
         if cached is None:
-            N = self._np_numerators
-            dtype = np.int64
-            if N is None:
-                dtype = object
-                N = np.array(self.numerators, dtype=object)
-            X = self.torsion_matrix(k, dtype=dtype)
-            D = self.denominator
-            steps = np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=dtype)
-            g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
-            counts = np.where(D // k % g == 0, self.group.torsion_count(k) // (D // g), 0)
-            cached = (X, N, np.cumsum(counts, dtype=np.int64))
+            exact = self._np_numerators is None
+            N = np.array(self.numerators, dtype=object) if exact else self._np_numerators
+            cached = (self.torsion_matrix(k, dtype=N.dtype), N)
             self._w_rows_cache[k] = cached
         return cached
+
+    def _w_counts(self, k: int):
+        """cum[i] = number of solutions (x, y) of b(x, y) = 1/k with x among
+        the first i + 1 rows of ``_w_rows(k)``, cached per k.
+
+        For c = x N mod D and step_i = d_i / gcd(d_i, k), the functional
+        b(x, -) maps M[k] onto the cyclic group of order D / g,
+        g = gcd(D, c_i step_i), so row x has |M[k]| g / D solutions y when g
+        divides D / k and none otherwise.  Requires k | D.
+        """
+        cum = self._w_counts_cache.get(k)
+        if cum is None:
+            X, N = self._w_rows(k)
+            D = self.denominator
+            steps = np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=N.dtype)
+            g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
+            counts = np.where(D // k % g == 0, self.group.torsion_count(k) // (D // g), 0)
+            cum = self._w_counts_cache[k] = np.cumsum(counts, dtype=np.int64)
+        return cum
 
     def __eq__(self, other) -> bool:
         return (
@@ -421,24 +431,14 @@ def count_w_morphisms(form: LinkingForm, k: int) -> int:
 
     Together with strictness those conditions are exactly the morphisms
     W_k -> form.  Counted row by row through the solvability arithmetic of
-    the single congruence b(x, y) = 1/k (``LinkingForm._w_rows``), so no
+    the single congruence b(x, y) = 1/k (``LinkingForm._w_counts``), so no
     pair scan is needed.
     """
     if k < 2:
         raise InputError("k must be >= 2")
     if form.denominator % k != 0:  # includes rank 0, where D = 1
         return 0
-    return int(form._w_rows(k)[2][-1])
-
-
-def _iter_w_pairs_exact(form: LinkingForm, k: int):
-    """Exact fallback pair scan used when int64 kernels cannot be trusted."""
-    one_over_k = QZValue(1, k)
-    torsion = list(form.group.torsion_elements(k))
-    for x in torsion:
-        for y in torsion:
-            if form.evaluate(x, y) == one_over_k:
-                yield x, y
+    return int(form._w_counts(k)[-1])
 
 
 def morphisms_from_w(
@@ -452,16 +452,11 @@ def morphisms_from_w(
         )
     if total == 0:
         return []
-    N = form._np_numerators
-    out = []
-    if N is None:
-        for x, y in _iter_w_pairs_exact(form, k):
-            out.append(w_morphism(form, k, x, y))
-        return out
+    X, N = form._w_rows(k)
     D = form.denominator
-    X = form._w_rows(k)[0]
-    pairs, found = _kernels.pairs_hitting(X, N, D, D // k, 0, total)
+    pairs, found = _kernels.pairs_hitting(X, N, D, D // k, total)
     assert found == total
+    out = []
     for i, j in pairs.tolist():
         x = form.group.element(tuple(X[i].tolist()))
         y = form.group.element(tuple(X[j].tolist()))
@@ -476,12 +471,7 @@ def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
     D = form.denominator
     if form.group.rank == 0 or D % k != 0:
         return None
-    N = form._np_numerators
-    if N is None:
-        for x, y in _iter_w_pairs_exact(form, k):
-            return w_morphism(form, k, x, y)
-        return None
-    X = form.torsion_matrix(k)
+    X, N = form._w_rows(k)
     i, j = _kernels.first_pair(X, N, D, D // k)
     if i < 0:
         return None
@@ -503,7 +493,8 @@ def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
     total = count_w_morphisms(form, k)
     if not 0 <= index < total:
         raise InputError(f"index {index} out of range ({total} morphisms)")
-    X, N, cum = form._w_rows(k)
+    X, N = form._w_rows(k)
+    cum = form._w_counts(k)
     D = form.denominator
     i = int(np.searchsorted(cum, index, side="right"))
     seen = int(cum[i - 1]) if i else 0
@@ -559,19 +550,6 @@ def split_along(f: FormMorphism) -> SplitResult:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            while q % p == 0:
-                q //= p
-                n += 1
-            if q != 1:
-                raise InputError(f"{q * p ** n} is not a prime power")
-            return p, n
-    raise InputError("q must be >= 2")
-
-
 def _crt_split_block(form: LinkingForm, x: GroupElement, y: GroupElement, e: int):
     """Split a W_e pair into orthogonal prime-power pairs.
 
@@ -579,19 +557,7 @@ def _crt_split_block(form: LinkingForm, x: GroupElement, y: GroupElement, e: int
     (m x, u m y) is a W_q pair, distinct prime parts pair to integers and
     hence to 0 in Q/Z.
     """
-    factors = []
-    rest = e
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            a = 0
-            while rest % p == 0:
-                rest //= p
-                a += 1
-            factors.append(p**a)
-        p += 1
-    if rest > 1:
-        factors.append(rest)
+    factors = [p**a for p, a in prime_factorization(e)]
     if len(factors) == 1:
         return [(e, x, y)]
     out = []
@@ -649,8 +615,10 @@ class NormalForm:
     def from_multiset(cls, qs) -> "NormalForm":
         counts: dict[tuple[int, int], int] = {}
         for q in qs:
-            key = _prime_power(q)
-            counts[key] = counts.get(key, 0) + 1
+            factors = prime_factorization(q)
+            if len(factors) != 1:
+                raise InputError(f"block parameter {q} is not a prime power >= 2")
+            counts[factors[0]] = counts.get(factors[0], 0) + 1
         return cls(tuple(sorted(counts.items())))
 
     def block_multiset(self) -> list[int]:
@@ -799,7 +767,7 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     ]
     per_prime: dict[int, list[tuple[int, GroupElement, GroupElement]]] = {}
     for q, xs, ys in blocks:
-        p, _ = _prime_power(q)
+        p = prime_factorization(q)[0][0]
         per_prime.setdefault(p, []).append((q, xs, ys))
     g = r // 2 - 1
     images = [w, vprime]

@@ -274,16 +274,16 @@ class Subgroup:
     def _decomposition(self):
         """Invariant-factor presentation of the subgroup.
 
-        Returns (orders, gens, U, basis) where `orders` are the invariant
-        factors >= 2, `gens` are ambient elements generating the
-        corresponding cyclic factors, `basis` is an r x r matrix whose
-        columns are a lattice basis of the subgroup's lattice L, and `U` is
-        the unimodular matrix such that coordinates w = U a (a = L-basis
-        coordinates) diagonalize L / diag(d).
+        Returns (orders, gens, U, snf_basis) where `orders` are the
+        invariant factors >= 2, `gens` are ambient elements generating the
+        corresponding cyclic factors, `snf_basis` is the SNF of an r x r
+        matrix whose columns are a lattice basis of the subgroup's lattice
+        L, and `U` is the unimodular matrix such that coordinates w = U a
+        (a = L-basis coordinates) diagonalize L / diag(d).
         """
         r = self.group.rank
         if r == 0:
-            return (), [], [], []
+            return (), [], [], None
         C = self._lattice
         res = smith_normal_form(C)
         # Columns of C @ right; the first r columns form a basis of L.
@@ -294,7 +294,7 @@ class Subgroup:
         M_cols = []
         for i, d in enumerate(self.group.orders):
             rhs = [d if t == i else 0 for t in range(r)]
-            col = _solve_with_snf(snf_basis, basis, rhs)
+            col = snf_basis.solve(rhs)
             assert col is not None, "diag(d) must lie in the subgroup lattice"
             M_cols.append(col)
         M = [[M_cols[j][i] for j in range(r)] for i in range(r)]
@@ -315,7 +315,7 @@ class Subgroup:
                 ]
                 gens.append(GroupElement(self.group, tuple(coeffs)))
         U = [res_m.left[j] for j in keep]  # rows giving the kept coordinates
-        return tuple(orders), gens, U, basis
+        return tuple(orders), gens, U, snf_basis
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -330,12 +330,12 @@ class Subgroup:
 
     def to_sub_coords(self, x: GroupElement) -> tuple[int, ...]:
         """Coordinates of a subgroup member in the standalone presentation."""
-        orders, gens, U, basis = self._decomposition
+        orders, gens, U, snf_basis = self._decomposition
         if not orders:
             if not self.contains(x):
                 raise InputError("element is not in the subgroup")
             return ()
-        a = _solve_with_snf(smith_normal_form(basis), basis, list(x.coeffs))
+        a = snf_basis.solve(list(x.coeffs))
         if a is None:
             raise InputError("element is not in the subgroup")
         r = self.group.rank
@@ -396,26 +396,6 @@ class Subgroup:
 
     def __contains__(self, x: GroupElement) -> bool:
         return self.contains(x)
-
-
-def _solve_with_snf(res, A: Matrix, b: list[int]) -> list[int] | None:
-    """solve_integer_linear with a precomputed SNF of A."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    lb = [sum(res.left[i][t] * b[t] for t in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        d = res.diag[i]
-        if d != 0:
-            if lb[i] % d != 0:
-                return None
-            y[i] = lb[i] // d
-        elif lb[i] != 0:
-            return None
-    for i in range(min(m, n), m):
-        if lb[i] != 0:
-            return None
-    return [sum(res.right[i][t] * y[t] for t in range(n)) for i in range(n)]
 
 
 def solve_congruence_system(group: FinAbGroup, rows) -> Subgroup:

@@ -42,6 +42,7 @@ from .forms import (
 )
 from .groups import Subgroup
 from .rank import k_rank, stable_k_rank
+from .snf import prime_factorization
 
 DEFAULT_MATERIALIZE_CAP = 25_000
 DEFAULT_EDGE_CAP = 5_000_000
@@ -87,17 +88,7 @@ def w_power_vertex_count(k: int, g: int) -> int:
     """
     if g == 0:
         return 0
-    primes = []
-    rest = k
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
+    primes = [p for p, _ in prime_factorization(k)]
     order_exactly_k = 0
     for r in range(len(primes) + 1):
         for combo in itertools.combinations(primes, r):
@@ -192,18 +183,11 @@ def build_l_complex(
         return LComplex(
             form, k, morphisms=[], flag=FlagComplex([], np.zeros((0, 0), dtype=bool))
         )
-    D = form.denominator
-    N = form._np_numerators
-    if N is not None:
-        X = np.array([m.x.coeffs for m in morphs], dtype=np.int64)
-        Y = np.array([m.y.coeffs for m in morphs], dtype=np.int64)
-        adj = _kernels.orth_adjacency(X, Y, N, D)
-        np.fill_diagonal(adj, False)
-    else:
-        adj = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                adj[i, j] = adj[j, i] = images_orthogonal(morphs[i], morphs[j])
+    _, N = form._w_rows(k)
+    X = np.array([m.x.coeffs for m in morphs], dtype=N.dtype)
+    Y = np.array([m.y.coeffs for m in morphs], dtype=N.dtype)
+    adj = _kernels.orth_adjacency(X, Y, N, form.denominator)
+    np.fill_diagonal(adj, False)
     edges = np.argwhere(np.triu(adj, 1))
     if len(edges) > edge_cap:
         raise CapExceeded(
@@ -231,7 +215,7 @@ def _orthogonal_rows(X, N, D, images) -> np.ndarray:
     """
     mask = np.ones(len(X), dtype=bool)
     for img in images:
-        mask &= _kernels.row_values(np.array(img, dtype=np.int64), N.T, X, D) == 0
+        mask &= _kernels.row_values(np.array(img, dtype=N.dtype), N.T, X, D) == 0
     return mask
 
 
@@ -241,21 +225,13 @@ def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
     intersection check), independently of the complement construction."""
     form, k = L.form, L.k
     D = form.denominator
-    N = form._np_numerators
-    if N is None:
-        keys = set()
-        for i in range(L.vertex_count):
-            v = L.vertex(i)
-            if all(are_adjacent(v, m) for m in morphs):
-                keys.add(v.key())
-        return keys
-    X = form.torsion_matrix(k)
+    if D % k != 0:  # no element pairs to 1/k, so the complex is empty
+        return set()
+    X, N = form._w_rows(k)
     images = [img.coeffs for m in morphs for img in (m.x, m.y)]
     rows = np.nonzero(_orthogonal_rows(X, N, D, images))[0]
     Xsub = X[rows]
-    pairs, total = _kernels.pairs_hitting(
-        Xsub, N, D, D // k, 0, DEFAULT_LINK_PAIR_CAP
-    )
+    pairs, total = _kernels.pairs_hitting(Xsub, N, D, D // k, DEFAULT_LINK_PAIR_CAP)
     if total > len(pairs):
         raise CapExceeded("link candidate enumeration exceeded cap", needed=total)
     keys = set()

@@ -22,7 +22,6 @@ two meet, the value is certified with no enumeration at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhausted, CapExceeded
@@ -37,6 +36,7 @@ from .forms import (
     split_along,
     w_power,
 )
+from .snf import prime_factorization
 
 
 def size_bound(form: LinkingForm, k: int) -> int:
@@ -48,29 +48,13 @@ def size_bound(form: LinkingForm, k: int) -> int:
     return g
 
 
-def _exact_prime_powers(k: int) -> list[int]:
-    out = []
-    rest = k
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            a = 0
-            while rest % p == 0:
-                rest //= p
-                a += 1
-            out.append(p**a)
-        p += 1
-    if rest > 1:
-        out.append(rest)
-    return out
-
-
 def torsion_bound(form: LinkingForm, k: int) -> int:
     """min over primes p | k of (number of cyclic factors whose order is
     divisible by the exact p-part of k) // 2; counts are presentation
     independent."""
     bound = None
-    for q in _exact_prime_powers(k):
+    for p, a in prime_factorization(k):
+        q = p**a
         cnt = sum(1 for d in form.group.orders if d % q == 0)
         bound = cnt // 2 if bound is None else min(bound, cnt // 2)
     return 0 if bound is None else bound

@@ -1,4 +1,4 @@
-"""Smith normal form and integer linear algebra over Z.
+"""Smith normal form, integer linear algebra and factorization over Z.
 
 Everything here runs on Python's arbitrary-precision integers.  Fixed-width
 integer SNF is a classic overflow trap (transform entries can blow up far
@@ -62,6 +62,25 @@ class SNFResult:
         for i, d in enumerate(self.diag):
             D[i][i] = d
         return D
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        """One integer solution of A @ x = b for the A this SNF came from,
+        or None when none exists."""
+        m, n = len(self.left), len(self.right)
+        lb = [sum(self.left[i][t] * b[t] for t in range(m)) for i in range(m)]
+        y = [0] * n
+        for i in range(min(m, n)):
+            d = self.diag[i]
+            if d != 0:
+                if lb[i] % d != 0:
+                    return None
+                y[i] = lb[i] // d
+            elif lb[i] != 0:
+                return None
+        for i in range(min(m, n), m):
+            if lb[i] != 0:
+                return None
+        return [sum(self.right[i][t] * y[t] for t in range(n)) for i in range(n)]
 
 
 def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
@@ -201,25 +220,7 @@ def integer_kernel_basis(A: Matrix) -> list[list[int]]:
 
 def solve_integer_linear(A: Matrix, b: list[int]) -> list[int] | None:
     """One integer solution of A @ x = b, or None when none exists."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    res = smith_normal_form(A)
-    lb = [sum(res.left[i][t] * b[t] for t in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        d = res.diag[i]
-        if d != 0:
-            if lb[i] % d != 0:
-                return None
-            y[i] = lb[i] // d
-        elif lb[i] != 0:
-            return None
-    for i in range(min(m, n), m):
-        if lb[i] != 0:
-            return None
-    return [sum(res.right[i][t] * y[t] for t in range(n)) for i in range(n)]
+    return smith_normal_form(A).solve(b)
 
 
 def invert_unimodular(A: Matrix) -> Matrix:
@@ -251,3 +252,23 @@ def column_lattice_index(A: Matrix) -> int:
     for d in res.diag[:m]:
         index *= d
     return index
+
+
+def prime_factorization(n: int) -> list[tuple[int, int]]:
+    """Pairs (p, e) with p**e exactly dividing n, by ascending prime p.
+
+    Trial division; empty for n < 2.
+    """
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out

@@ -12,6 +12,7 @@ from linkforms import (
     InputError,
     LinkingForm,
     NonStrictFormError,
+    NormalForm,
     QZValue,
     Subgroup,
     are_isomorphic,
@@ -154,13 +155,26 @@ def test_indexed_enumeration_matches_list():
         w_morphism_by_index(form, 3, 2160)
 
 
+def brute_w_pair_keys(form, k):
+    """All (x, y) keys with b(x, y) = 1/k, by exact evaluation of every pair
+    of k-torsion elements in lexicographic order."""
+    tors = list(form.group.torsion_elements(k))
+    target = QZValue(1, k)
+    return [
+        (x.coeffs, y.coeffs) for x in tors for y in tors if form.evaluate(x, y) == target
+    ]
+
+
 def test_indexed_enumeration_outside_int64_gate():
-    # D = 2 * 1048583 exceeds the 2**20 gate, so counts and lookups take
-    # the exact path; every index is served, none reports malformed input
+    # D = 2 * 1048583 exceeds the 2**20 gate, so the kernels run on exact
+    # Python ints; every index is served, none reports malformed input
     form = w_power(2 * 1048583, 2)
     assert form._np_numerators is None
+    want = brute_w_pair_keys(form, 2)
     morphs = morphisms_from_w(form, 2)
+    assert [m.key() for m in morphs] == want
     assert count_w_morphisms(form, 2) == len(morphs) == 120
+    assert first_w_morphism(form, 2).key() == want[0]
     for i, m in enumerate(morphs):
         assert w_morphism_by_index(form, 2, i).key() == m.key()
     with pytest.raises(InputError):
@@ -296,6 +310,18 @@ def test_composite_blocks_split_by_crt():
     nf = normal_form(standard_w(6))
     assert nf.block_multiset() == [2, 3]
     assert are_isomorphic(standard_w(6), direct_sum(standard_w(2), standard_w(3)))
+
+
+@pytest.mark.parametrize("qs", [[6], [1], [0], [2, 12]])
+def test_normal_form_rejects_non_prime_powers(qs):
+    with pytest.raises(InputError):
+        NormalForm.from_multiset(qs)
+
+
+def test_normal_form_from_prime_powers():
+    nf = NormalForm.from_multiset([9, 2, 1048583, 3, 9])
+    assert nf.summands == (((2, 1), 1), ((3, 1), 1), ((3, 2), 2), ((1048583, 1), 1))
+    assert nf.block_multiset() == [2, 3, 9, 9, 1048583]
 
 
 def test_classification_distinguishes():

@@ -113,6 +113,22 @@ def test_sub_coords_round_trip():
         H.to_sub_coords(G.element((1, 0)))
 
 
+def test_sub_coords_of_decomposition_gens():
+    """The t-th decomposition generator has standalone coordinates e_t, on
+    repeated calls through the cached SNF of the lattice basis."""
+    G = FinAbGroup.of(4, 6, 9, 12)
+    H = Subgroup(G, [G.element((2, 3, 3, 4)), G.element((1, 0, 6, 2)), G.element((0, 2, 0, 6))])
+    gens = H.decomposition_gens
+    assert len(gens) == len(H.invariant_factors) >= 2
+    for _ in range(2):
+        for t, g in enumerate(gens):
+            unit = tuple(int(i == t) for i in range(len(gens)))
+            assert H.to_sub_coords(g) == unit
+            assert H.from_sub_coords(unit) == g
+    for x in H.elements():
+        assert H.from_sub_coords(H.to_sub_coords(x)) == x
+
+
 def test_standalone_group():
     G = FinAbGroup.of(4, 6)
     H = Subgroup(G, [G.element((2, 3))])

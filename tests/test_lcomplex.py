@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -139,6 +140,22 @@ def test_vertex_index_round_trip(L2):
 # ---------------------------------------------------------------------------
 
 
+def test_complex_outside_int64_gate():
+    """W_{2p}^2 at k = 2, p = 1048583: D = 2p is past the int64 gate, so the
+    adjacency kernel runs on Python ints; it must equal pairwise exact
+    orthogonality."""
+    form = w_power(2 * 1048583, 2)
+    assert not fits_int64(form.denominator, 2 * 1048583, 4)
+    L = build_l_complex(form, 2)
+    assert L.vertex_count == 120
+    assert L.edge_count() == 360
+    assert len(L.components()) == 10
+    morphs = [L.vertex(i) for i in range(L.vertex_count)]
+    for i, j in itertools.combinations(range(len(morphs)), 2):
+        assert L.flag.adj[i, j] == images_orthogonal(morphs[i], morphs[j])
+    assert not L.flag.adj.diagonal().any()
+
+
 def test_lazy_below_forced_cap():
     L = build_l_complex(w_power(3, 2), 3, materialize_cap=100)
     assert not L.materialized
@@ -182,6 +199,11 @@ def test_link_iso_empty_simplex():
     # comparison is feasible on the discrete level-one complex
     L = build_l_complex(standard_w(3), 3)
     assert verify_link_iso(L, [])
+
+
+def test_link_iso_level_not_dividing_denominator():
+    # W_2 has no element pairing to 1/3: both sides of the link are empty
+    assert verify_link_iso(build_l_complex(standard_w(2), 3), [])
 
 
 def test_link_iso_pair_cap(L2):

@@ -20,7 +20,7 @@ from linkforms import (
     smith_normal_form,
     solve_integer_linear,
 )
-from linkforms.snf import matmul_int, identity_matrix
+from linkforms.snf import matmul_int, identity_matrix, prime_factorization
 from linkforms.errors import PrecisionOverflow
 
 
@@ -158,6 +158,23 @@ def test_column_lattice_index():
     assert column_lattice_index([[1, 0], [0, 1]]) == 1
     assert column_lattice_index([[2, 0], [0, 0]]) == 0
     assert column_lattice_index([[2, 2], [0, 4]]) == 8
+
+
+def test_prime_factorization_brute_force():
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, p))]
+    for n in range(-3, 2001):
+        want = []
+        for p in primes:
+            e = 0
+            while n > 0 and n % p ** (e + 1) == 0:
+                e += 1
+            if e:
+                want.append((p, e))
+        assert prime_factorization(n) == want, n
+    assert all(1048583 % d for d in range(2, 1025))  # 1025**2 > 1048583
+    assert prime_factorization(1048583) == [(1048583, 1)]
+    assert prime_factorization(2 * 1048583) == [(2, 1), (1048583, 1)]
+    assert prime_factorization(2**20 - 1) == [(3, 1), (5, 2), (11, 1), (31, 1), (41, 1)]
 
 
 def test_entry_cap():
