@@ -10,6 +10,7 @@ from .errors import (
     BudgetExhausted,
     CapExceeded,
     InputError,
+    InvariantError,
     LinkformsError,
     NonStrictFormError,
     PrecisionOverflow,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, UnsupportedDegree
 from .qz import QZValue
-from .snf import smith_normal_form
+from .snf import _eliminate
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +78,9 @@ def _from_presentation(n_gens: int, relation_columns: list[list[int]]) -> AbGrou
     if not relation_columns:
         return AbGroupDescriptor.free(n_gens)
     matrix = [[col[i] for col in relation_columns] for i in range(n_gens)]
-    res = smith_normal_form(matrix)
-    torsion = tuple(d for d in res.diag if d > 1)
-    return AbGroupDescriptor(free_rank=n_gens - res.rank, torsion=torsion)
+    diag, _, _ = _eliminate(matrix, False)
+    torsion = tuple(d for d in diag if d > 1)
+    return AbGroupDescriptor(free_rank=n_gens - sum(1 for d in diag if d), torsion=torsion)
 
 
 def multiplication_cokernel(G: AbGroupDescriptor, k: int) -> AbGroupDescriptor:

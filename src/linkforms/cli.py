@@ -9,7 +9,9 @@ Each emits a Report (text by default, JSON with ``--json``) and exits with
 * 3 singular or non-strictly-skew form,
 * 4 search budget exhausted without certification (``--require-certified``),
 * 5 a materialization/enumeration cap was exceeded,
-* 6 unsupported bordism degree.
+* 6 unsupported bordism degree,
+* 7 a mathematical invariant the library guarantees failed (a bug in
+  linkforms; the JSON error report names it ``InvariantError``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     BudgetExhausted,
     CapExceeded,
     InputError,
+    InvariantError,
     NonStrictFormError,
     SingularFormError,
     UnsupportedDegree,
@@ -299,6 +302,7 @@ _ERROR_CODES: list[tuple[type, int]] = [
     (BudgetExhausted, 4),
     (CapExceeded, 5),
     (UnsupportedDegree, 6),
+    (InvariantError, 7),
 ]
 
 

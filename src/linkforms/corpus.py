@@ -14,8 +14,10 @@ import random
 import numpy as np
 
 from .complexes import FlagComplex, SimplicialMap, SymRelation
+from .errors import InvariantError
 from .forms import FormMorphism, LinkingForm, direct_sum, standard_w
 from .groups import FinAbGroup, GroupElement, GroupHom
+from .snf import prime_factorization
 
 BLOCK_CHOICES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 
@@ -39,6 +41,35 @@ def random_block_multiset(rng: random.Random, max_root_order: int = 81) -> list[
 
 def block_sum(blocks) -> LinkingForm:
     return direct_sum(*(standard_w(q) for q in blocks))
+
+
+def _units_up_to(x: int, primes: list[int]) -> int:
+    """Number of u in [1, x] prime to every p in ``primes`` (inclusion-exclusion)."""
+    total = 0
+    for r in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, r):
+            total += (-1) ** r * (x // math.prod(combo))
+    return total
+
+
+def random_unit(d: int, rng: random.Random) -> int:
+    """A uniform unit mod d, the same draw as ``rng.choice`` over the
+    ascending list of units in [1, d), without building that list.
+
+    The index ``rng.randrange(phi(d))`` is the draw ``choice`` makes; the
+    unit at that index is found by binary search on the count of units up
+    to x.
+    """
+    primes = [p for p, _ in prime_factorization(d)]
+    index = rng.randrange(_units_up_to(d - 1, primes))
+    lo, hi = 1, d - 1  # the answer u is the least x with index < count(x)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _units_up_to(mid, primes) > index:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def random_group_automorphism(group: FinAbGroup, rng: random.Random, steps: int = 25) -> GroupHom:
@@ -68,15 +99,14 @@ def random_group_automorphism(group: FinAbGroup, rng: random.Random, steps: int 
             c = base * rng.randrange(1, max(2, ord_j // base + 1))
             images[i] = images[i] + images[j].scale(c)
         elif kind == 1:
-            d_i = group.orders[i]
-            units = [u for u in range(1, d_i) if math.gcd(u, d_i) == 1]
-            images[i] = images[i].scale(rng.choice(units))
+            images[i] = images[i].scale(random_unit(group.orders[i], rng))
         else:
             j = rng.randrange(n)
             if group.orders[i] == group.orders[j]:
                 images[i], images[j] = images[j], images[i]
     hom = GroupHom(group, group, images)
-    assert hom.is_isomorphism(), "elementary operations must compose to an automorphism"
+    if not hom.is_isomorphism():
+        raise InvariantError("elementary operations must compose to an automorphism")
     return hom
 
 

@@ -52,6 +52,14 @@ class UnsupportedDegree(LinkformsError):
     """A bordism table was requested outside degrees 0 and 1 (CLI exit 6)."""
 
 
+class InvariantError(LinkformsError):
+    """A mathematical invariant that the library guarantees did not hold (CLI exit 7).
+
+    It signals a bug in linkforms, not bad input.  It is raised explicitly,
+    so ``python -O`` does not strip the check the way it strips ``assert``.
+    """
+
+
 class PrecisionOverflow(LinkformsError):
     """An intermediate integer exceeded a user-configured magnitude cap.
 

@@ -22,7 +22,13 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import CapExceeded, InputError, NonStrictFormError, SingularFormError
+from .errors import (
+    CapExceeded,
+    InputError,
+    InvariantError,
+    NonStrictFormError,
+    SingularFormError,
+)
 from .groups import (
     FinAbGroup,
     GroupElement,
@@ -355,8 +361,27 @@ class FormMorphism:
         return Subform(self.target, self.image_subgroup)
 
     def image_key(self) -> frozenset:
-        """Canonical key identifying the image subgroup setwise."""
-        return frozenset(e.coeffs for e in self.image_subgroup.elements())
+        """Canonical key identifying the image subgroup setwise.
+
+        The image is the span of the generator images, so it is listed
+        directly as the sums c_1 img_1 + ... + c_r img_r (reduced mod the
+        target orders) over 0 <= c_i < source.orders[i], with no subgroup
+        decomposition.
+        """
+        orders = self.target.group.orders
+        span = [(0,) * len(orders)]
+        for d, img in zip(self.source.group.orders, self.images):
+            # span + c img for c = 1, ..., d - 1, one addition of img at a time
+            step = img.coeffs
+            shifted, out = span, list(span)
+            for _ in range(d - 1):
+                shifted = [
+                    tuple([(a + b) % o for a, b, o in zip(s, step, orders)])
+                    for s in shifted
+                ]
+                out += shifted
+            span = out
+        return frozenset(span)
 
     def compose(self, inner: "FormMorphism") -> "FormMorphism":
         if inner.target != self.source:
@@ -455,12 +480,14 @@ def morphisms_from_w(
     X, N = form._w_rows(k)
     D = form.denominator
     pairs, found = _kernels.pairs_hitting(X, N, D, D // k, total)
-    assert found == total
+    if found != total:
+        raise InvariantError(f"pair scan found {found} morphisms, the row counts {total}")
+    source = standard_w(k)
     out = []
     for i, j in pairs.tolist():
         x = form.group.element(tuple(X[i].tolist()))
         y = form.group.element(tuple(X[j].tolist()))
-        out.append(w_morphism(form, k, x, y))
+        out.append(FormMorphism(source, form, [x, y]))
     return out
 
 
@@ -535,13 +562,14 @@ def split_along(f: FormMorphism) -> SplitResult:
         t2 = M.evaluate(x, e).numerator_over(k)
         images.append(wgroup.element((t1, t2)))
     retraction = GroupHom(M.group, wgroup, images)
-    assert retraction(x).coeffs == (1, 0) and retraction(y).coeffs == (0, 1), (
-        "retraction must restrict to the identity through f"
-    )
+    if retraction(x).coeffs != (1, 0) or retraction(y).coeffs != (0, 1):
+        raise InvariantError("retraction must restrict to the identity through f")
     image = f.image_subform
     complement = orthogonal_complement(M, image.subgroup)
-    assert image.order * complement.order == M.group.order
-    assert image.subgroup.intersection(complement.subgroup).order == 1
+    if image.order * complement.order != M.group.order:
+        raise InvariantError("image and complement orders must multiply to |M|")
+    if image.subgroup.intersection(complement.subgroup).order != 1:
+        raise InvariantError("image and complement must intersect trivially")
     return SplitResult(image=image, complement=complement, retraction=retraction)
 
 
@@ -566,7 +594,8 @@ def _crt_split_block(form: LinkingForm, x: GroupElement, y: GroupElement, e: int
         u = pow(m, -1, q)
         xq = x.scale(m)
         yq = y.scale(m * u)
-        assert form.evaluate(xq, yq) == QZValue(1, q)
+        if form.evaluate(xq, yq) != QZValue(1, q):
+            raise InvariantError(f"prime-power part of a W_{e} pair does not pair to 1/{q}")
         out.append((q, xq, yq))
     return out
 
@@ -787,5 +816,6 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     phi = FormMorphism(form, form, images)
     if not phi.is_automorphism():
         raise SingularFormError("assembled morphism failed to be bijective")
-    assert phi(form.group.element((0, m) + (0,) * (r - 2))) == v
+    if phi(form.group.element((0, m) + (0,) * (r - 2))) != v:
+        raise InvariantError("automorphism does not carry m times the second generator to v")
     return phi

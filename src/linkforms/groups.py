@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvariantError
 from .snf import (
     Matrix,
     integer_kernel_basis,
@@ -162,7 +162,7 @@ class GroupHom:
         for d, img in zip(source.orders, images):
             if img.group != target:
                 raise InputError("image lies in the wrong group")
-            if not img.scale(d).is_zero():
+            if any(c * d % o for c, o in zip(img.coeffs, target.orders)):
                 raise InputError(
                     f"hom not well defined: order-{d} generator maps to an element "
                     f"whose order does not divide {d}"
@@ -295,7 +295,8 @@ class Subgroup:
         for i, d in enumerate(self.group.orders):
             rhs = [d if t == i else 0 for t in range(r)]
             col = snf_basis.solve(rhs)
-            assert col is not None, "diag(d) must lie in the subgroup lattice"
+            if col is None:
+                raise InvariantError("diag(d) must lie in the subgroup lattice")
             M_cols.append(col)
         M = [[M_cols[j][i] for j in range(r)] for i in range(r)]
         res_m = smith_normal_form(M)
@@ -305,7 +306,8 @@ class Subgroup:
         keep = []
         for j in range(r):
             s = res_m.diag[j]
-            assert s != 0, "subgroup lattice must have full rank"
+            if s == 0:
+                raise InvariantError("subgroup lattice must have full rank")
             if s >= 2:
                 keep.append(j)
                 orders.append(s)

@@ -3,7 +3,7 @@
 Vertices are the morphisms W_k -> M in lexicographic enumeration order;
 a set of vertices spans a simplex when the images are pairwise orthogonal
 (with trivial pairwise intersection, which for these images follows from
-orthogonality and is asserted rather than assumed).  The complex is flag,
+orthogonality and is checked rather than assumed).  The complex is flag,
 so the 1-skeleton determines everything.
 
 Small complexes are materialized as a FlagComplex; above the vertex cap
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .complexes import FlagComplex
-from .errors import BudgetExhausted, CapExceeded, InputError
+from .errors import BudgetExhausted, CapExceeded, InputError, InvariantError
 from .forms import (
     FormMorphism,
     LinkingForm,
@@ -73,9 +73,9 @@ def are_adjacent(f: FormMorphism, g: FormMorphism) -> bool:
     """
     if not images_orthogonal(f, g):
         return False
-    ok = images_intersect_trivially(f, g)
-    assert ok, "orthogonal nonsingular images must intersect trivially"
-    return ok
+    if not images_intersect_trivially(f, g):
+        raise InvariantError("orthogonal nonsingular images must intersect trivially")
+    return True
 
 
 def w_power_vertex_count(k: int, g: int) -> int:
@@ -195,7 +195,7 @@ def build_l_complex(
         )
     for i, j in edges:
         if not images_intersect_trivially(morphs[i], morphs[j]):
-            raise AssertionError(
+            raise InvariantError(
                 "orthogonal images with nontrivial intersection encountered"
             )
     flag = FlagComplex(tuple(range(n)), adj)
@@ -389,8 +389,10 @@ def find_short_path(
         )
     path = left + [f0] + list(reversed(right))
     for a, b in zip(path, path[1:]):
-        assert are_adjacent(a, b), "constructed path has a non-edge"
-    assert len(path) <= 5
+        if not are_adjacent(a, b):
+            raise InvariantError("constructed path has a non-edge")
+    if len(path) > 5:
+        raise InvariantError(f"constructed path has {len(path) - 1} edges, more than 4")
     stats["length"] = len(path) - 1
     return PathResult("ok", path, stats)
 
@@ -418,8 +420,10 @@ def edge_swap_automorphism(a: FormMorphism, b: FormMorphism) -> FormMorphism:
         rest = e - a(pa) - b(pb)
         images.append(b(pa) + a(pb) + rest)
     h = FormMorphism(form, form, images)
-    assert h.is_automorphism()
-    assert h(a.x) == b.x and h(a.y) == b.y
+    if not h.is_automorphism():
+        raise InvariantError("edge swap is not an automorphism")
+    if h(a.x) != b.x or h(a.y) != b.y:
+        raise InvariantError("edge swap fails to carry a to b")
     return h
 
 
@@ -480,7 +484,8 @@ def transitivity_witness(L: LComplex, f0, f1, path=None) -> WitnessResult:
     h = identity_morphism(L.form)
     for a, b in zip(path, path[1:]):
         h = edge_swap_automorphism(a, b).compose(h)
-    assert h(m0.x) == m1.x and h(m0.y) == m1.y, "witness fails to carry f0 to f1"
+    if h(m0.x) != m1.x or h(m0.y) != m1.y:
+        raise InvariantError("witness fails to carry f0 to f1")
     return WitnessResult("ok", h, path, {"length": len(path) - 1})
 
 
@@ -514,8 +519,8 @@ def cancellation_check(M: LinkingForm, N: LinkingForm, k: int, budget: int = 20_
     with_block = are_isomorphic(MW, NW)
     direct = are_isomorphic(M, N)
     consistent = with_block == direct
-    if M.is_nonsingular() and N.is_nonsingular():
-        assert consistent, "cancellation must be exact on nonsingular forms"
+    if not consistent and M.is_nonsingular() and N.is_nonsingular():
+        raise InvariantError("cancellation must be exact on nonsingular forms")
     try:
         sr = stable_k_rank(MW, k, g_max=2, budget=budget)
         hyp = {

@@ -8,7 +8,8 @@ point ever enters.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+import operator
 
 from .errors import InputError
 
@@ -19,11 +20,20 @@ class QZValue:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
+        # operator.index turns numpy integers into Python ints, so no
+        # fixed-width value is ever stored, and refuses floats.
+        try:
+            num, den = operator.index(num), operator.index(den)
+        except TypeError:
+            raise InputError(f"Q/Z value needs integers, got {num!r}/{den!r}") from None
         if den == 0:
             raise InputError("fraction with zero denominator")
-        f = Fraction(num, den) % 1
-        self.num = f.numerator
-        self.den = f.denominator
+        if den < 0:
+            num, den = -num, -den
+        num %= den
+        g = math.gcd(num, den)
+        self.num = num // g
+        self.den = den // g
 
     # -- constructors ------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExhausted, CapExceeded
+from .errors import BudgetExhausted, CapExceeded, InvariantError
 from .forms import (
     FormMorphism,
     LinkingForm,
@@ -157,7 +157,7 @@ def _witness(form: LinkingForm, k: int, target: int, state: _SearchState) -> lis
         if 1 + _value(comp.form, k, state) == target:
             rest = _witness(comp.form, k, target - 1, state)
             return [f] + [comp.embed_morphism(g) for g in rest]
-    raise AssertionError("witness reconstruction failed below the computed value")
+    raise InvariantError("witness reconstruction failed below the computed value")
 
 
 def k_rank(form: LinkingForm, k: int, budget: int = 200_000) -> RankResult:

@@ -8,10 +8,18 @@ default precision is unbounded.
 
 Pivoting is deterministic: the pivot is the entry of smallest nonzero
 absolute value in the remaining submatrix, ties broken in row-major order.
+
+One elimination loop, ``_eliminate``, serves every caller.  It accumulates
+the unimodular transforms ``left`` and ``right`` only when its caller reads
+them: ``smith_normal_form`` (hence solving, kernels and inverses) does,
+while ``column_lattice_index`` (subgroup orders) and bordism presentations
+need only the diagonal and skip both.  The diagonal is the same on either
+path, because the operations on the work matrix are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import PrecisionOverflow
@@ -28,7 +36,8 @@ def matmul_int(A: Matrix, B: Matrix) -> Matrix:
     if not A:
         return []
     inner = len(B)
-    assert all(len(row) == inner for row in A)
+    if any(len(row) != inner for row in A):
+        raise ValueError("matrix shapes do not match for a product")
     cols = len(B[0]) if B else 0
     out = [[0] * cols for _ in range(len(A))]
     for i, arow in enumerate(A):
@@ -83,48 +92,53 @@ class SNFResult:
         return [sum(self.right[i][t] * y[t] for t in range(n)) for i in range(n)]
 
 
-def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
+def _eliminate(A: Matrix, transforms: bool, cap: int | None = None):
+    """Diagonalize A by unimodular row and column operations.
+
+    Returns ``(diag, left, right)`` with ``left @ A @ right`` diagonal.  The
+    transforms are accumulated only when ``transforms`` is set, and are
+    None otherwise; ``diag`` and the operation sequence are the same either
+    way.  Once pivot ``t`` is placed, rows and columns before ``t`` are
+    zero off the diagonal, so a row operation touches columns ``t..`` only,
+    and a column operation made after column ``t`` is clear below the pivot
+    changes row ``t`` only.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     work = [list(row) for row in A]
     for row in work:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    left = identity_matrix(m)
-    right = identity_matrix(n)
+    left = identity_matrix(m) if transforms else None
+    right = identity_matrix(n) if transforms else None
 
-    def check(value: int) -> int:
-        if cap is not None and abs(value) > cap:
-            raise PrecisionOverflow(f"intermediate entry exceeds cap {cap}")
-        return value
+    def check(values) -> None:
+        for v in values:
+            if abs(v) > cap:
+                raise PrecisionOverflow(f"intermediate entry exceeds cap {cap}")
 
     def swap_rows(a: int, b: int) -> None:
         work[a], work[b] = work[b], work[a]
-        left[a], left[b] = left[b], left[a]
+        if transforms:
+            left[a], left[b] = left[b], left[a]
 
     def swap_cols(a: int, b: int) -> None:
         for row in work:
             row[a], row[b] = row[b], row[a]
-        for row in right:
-            row[a], row[b] = row[b], row[a]
+        if transforms:
+            for row in right:
+                row[a], row[b] = row[b], row[a]
 
-    def add_row(dst: int, src: int, factor: int) -> None:
+    def add_row(dst: int, src: int, factor: int, t: int) -> None:
         wd, ws = work[dst], work[src]
-        for j in range(n):
-            wd[j] = check(wd[j] + factor * ws[j])
-        ld, ls = left[dst], left[src]
-        for j in range(m):
-            ld[j] = check(ld[j] + factor * ls[j])
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for row in work:
-            row[dst] = check(row[dst] + factor * row[src])
-        for row in right:
-            row[dst] = check(row[dst] + factor * row[src])
-
-    def negate_row(i: int) -> None:
-        work[i] = [-v for v in work[i]]
-        left[i] = [-v for v in left[i]]
+        wd[t:] = [a + factor * b for a, b in zip(wd[t:], ws[t:])]
+        if transforms:
+            ld = left[dst]
+            ld[:] = [a + factor * b for a, b in zip(ld, left[src])]
+        if cap is not None:
+            check(wd)
+            if transforms:
+                check(ld)
 
     t = 0
     limit = min(m, n)
@@ -150,7 +164,9 @@ def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
         if best[1] != t:
             swap_cols(t, best[1])
         if work[t][t] < 0:
-            negate_row(t)
+            work[t] = [-v for v in work[t]]
+            if transforms:
+                left[t] = [-v for v in left[t]]
 
         while True:
             p = work[t][t]
@@ -160,7 +176,7 @@ def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
                 if v == 0:
                     continue
                 q, r = divmod(v, p)
-                add_row(i, t, -q)
+                add_row(i, t, -q, t)
                 if r != 0:
                     # Remainder is a strictly smaller positive pivot.
                     swap_rows(i, t)
@@ -168,12 +184,21 @@ def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
                     break
             if restart:
                 continue
+            # Column t is now clear below the pivot (and above it, by the
+            # earlier pivots), so adding -q times column t to column j only
+            # changes row t, where it leaves the remainder.
+            row_t = work[t]
             for j in range(t + 1, n):
-                v = work[t][j]
+                v = row_t[j]
                 if v == 0:
                     continue
                 q, r = divmod(v, p)
-                add_col(j, t, -q)
+                row_t[j] = r
+                if transforms:
+                    for row in right:
+                        row[j] -= q * row[t]
+                    if cap is not None:
+                        check(row[j] for row in right)
                 if r != 0:
                     swap_cols(j, t)
                     restart = True
@@ -193,12 +218,20 @@ def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
                     break
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            add_row(t, offender, 1, t)
         t += 1
 
-    diag = [work[i][i] for i in range(limit)]
-    rank = sum(1 for d in diag if d != 0)
-    return SNFResult(left=left, diag=diag, right=right, rank=rank)
+    return [work[i][i] for i in range(limit)], left, right
+
+
+def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
+    """SNF of A with both transforms.
+
+    ``cap`` bounds the magnitude of every intermediate entry of the work
+    matrix and the transforms; exceeding it raises PrecisionOverflow.
+    """
+    diag, left, right = _eliminate(A, True, cap)
+    return SNFResult(left=left, diag=diag, right=right, rank=sum(1 for d in diag if d))
 
 
 def integer_kernel_basis(A: Matrix) -> list[list[int]]:
@@ -245,13 +278,9 @@ def column_lattice_index(A: Matrix) -> int:
     m = len(A)
     if m == 0:
         return 1
-    res = smith_normal_form(A)
-    if res.rank < m:
-        return 0
-    index = 1
-    for d in res.diag[:m]:
-        index *= d
-    return index
+    diag, _, _ = _eliminate(A, False)
+    # A zero on the diagonal, or fewer columns than rows, means rank < m.
+    return math.prod(diag) if len(diag) == m else 0
 
 
 def prime_factorization(n: int) -> list[tuple[int, int]]:

@@ -6,7 +6,7 @@ import sys
 import jsonschema
 import pytest
 
-from linkforms import FinAbGroup, LinkingForm, QZValue, direct_sum, standard_w
+from linkforms import FinAbGroup, LinkingForm, QZValue, direct_sum, standard_w, w_power
 from linkforms.cli import braced, main
 from linkforms.corpus import scramble_form
 from linkforms.documents import form_to_document
@@ -326,3 +326,48 @@ def test_text_and_json_verdicts_agree(files, capsys):
     assert code_t == code_j == 0
     assert out_t.splitlines()[0].endswith(report["status"].upper())
     assert report["data"]["normal_form"] in out_t
+
+
+# ---------------------------------------------------------------------------
+# invariant violations
+# ---------------------------------------------------------------------------
+
+NO_EDGES = """
+import sys
+import linkforms.lcomplex as lcomplex
+from linkforms.cli import main
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+lcomplex.are_adjacent = lambda f, g: False
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.fixture
+def w3_fourth(tmp_path):
+    """W_3^4: its complex has a hub, so a path is built and then checked."""
+    p = tmp_path / "w3x4.json"
+    p.write_text(json.dumps(form_to_document(w_power(3, 4))))
+    return str(p)
+
+
+def test_invariant_violation_exits_7(w3_fourth, capsys, monkeypatch):
+    import linkforms.lcomplex as lcomplex
+
+    monkeypatch.setattr(lcomplex, "are_adjacent", lambda f, g: False)
+    code, report = run_json(capsys, "complex", w3_fourth, "3", "--path", "1", "2")
+    assert code == 7
+    assert report["status"] == "error"
+    assert report["data"]["kind"] == "InvariantError"
+    assert "non-edge" in report["data"]["error"]
+
+
+def test_invariant_violation_fires_under_python_O(w3_fourth):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NO_EDGES, "complex", w3_fourth, "3",
+         "--path", "1", "2", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 7, proc.stderr
+    assert json.loads(proc.stderr)["data"]["kind"] == "InvariantError"

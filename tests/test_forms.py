@@ -482,3 +482,33 @@ def test_indexed_enumeration_property(blocks, seed, rnd):
         assert got == [want[i] for i in indices]
         with pytest.raises(InputError):
             w_morphism_by_index(form, k, n)
+
+
+SPAN_FORMS = {
+    "W_3^2": (lambda: w_power(3, 2), 3),
+    "W_3+W_9": (lambda: direct_sum(standard_w(3), standard_w(9)), 3),
+    "W_2^2": (lambda: w_power(2, 2), 2),
+    # D = 2 * 1048583 is past the int64 gate: the exact path
+    "W_2p^2": (lambda: w_power(2 * 1048583, 2), 2),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(SPAN_FORMS)), st.integers(0, 10**6), st.data())
+def test_image_key_is_the_image_subgroup(name, seed, data):
+    make, k = SPAN_FORMS[name]
+    scrambled, _ = scramble_form(make(), random.Random(seed))
+    total = count_w_morphisms(scrambled, k)
+    for _ in range(3):
+        f = w_morphism_by_index(scrambled, k, data.draw(st.integers(0, total - 1)))
+        want = frozenset(e.coeffs for e in f.image_subgroup.elements())
+        assert f.image_key() == want
+        assert len(want) == k * k
+
+
+def test_image_key_of_identity_morphism():
+    form = direct_sum(standard_w(2), standard_w(4))
+    f = identity_morphism(form)
+    want = frozenset(e.coeffs for e in f.image_subgroup.elements())
+    assert f.image_key() == want
+    assert len(want) == form.group.order

@@ -10,9 +10,11 @@ from linkforms import (
     GroupHom,
     InputError,
     Subgroup,
+    column_lattice_index,
     solve_affine_congruence_system,
     solve_congruence_system,
 )
+from linkforms.corpus import random_unit
 
 
 def brute_subgroup(group, generators):
@@ -198,3 +200,34 @@ def test_intersection_brute_force():
         got = A.intersection(B)
         assert got.order == len(want)
         assert all(G.element(c) in got for c in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_column_lattice_index_is_subgroup_index(data):
+    """[Z^r : L] for the lattice of generators plus diag(orders) is the
+    index of the generated subgroup, counted by orbit closure."""
+    orders = data.draw(st.lists(st.sampled_from([2, 3, 4, 6, 9]), min_size=1, max_size=3))
+    G = FinAbGroup.of(*orders)
+    gens = [
+        G.element(tuple(data.draw(st.integers(0, d - 1)) for d in orders))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    lattice = [
+        [g.coeffs[i] for g in gens] + [d if j == i else 0 for j, d in enumerate(orders)]
+        for i in range(len(orders))
+    ]
+    assert column_lattice_index(lattice) * len(brute_subgroup(G, gens)) == G.order
+
+
+@pytest.mark.parametrize(
+    "d", [2, 3, 4, 9, 12, 27, 81, 360, 30030, 1048574, 2 * 1048583]
+)
+def test_random_unit_is_the_choice_draw(d):
+    """random_unit makes the same draw as rng.choice over the list of units
+    and leaves the generator in the same state."""
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    for seed in range(30):
+        ref, rng = random.Random(seed), random.Random(seed)
+        assert random_unit(d, rng) == ref.choice(units)
+        assert rng.random() == ref.random()

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linkforms import InputError, QZValue
 
@@ -81,3 +84,45 @@ def test_order_is_minimal(v):
     for d in range(1, n):
         if n % d == 0:
             assert not v.scale(d).is_zero() or d == n
+
+
+big_or_small = st.one_of(
+    st.integers(-10_000, 10_000),
+    st.integers(-(2**130), 2**130),
+    st.integers(2**100, 2**130),
+    st.integers(-(2**130), -(2**100)),
+)
+
+
+def as_numpy(v):
+    """The value as an np.int64 where it fits, else unchanged."""
+    return np.int64(v) if -(2**63) <= v < 2**63 else v
+
+
+@settings(max_examples=200)
+@given(big_or_small, big_or_small.filter(bool), st.booleans())
+def test_reduction_matches_fraction(num, den, numpy_inputs):
+    want = Fraction(num, den) % 1
+    v = QZValue(as_numpy(num), as_numpy(den)) if numpy_inputs else QZValue(num, den)
+    assert (v.num, v.den) == (want.numerator, want.denominator)
+    assert type(v.num) is int and type(v.den) is int
+
+
+def test_numpy_inputs_do_not_wrap():
+    a = QZValue(np.int64(1), np.int64(2**40 - 87))
+    b = QZValue(1, 2**40 - 93)
+    want = Fraction(1, 2**40 - 87) + Fraction(1, 2**40 - 93)
+    assert (a + b).den == want.denominator > 2**63
+    assert (a + b).num == want.numerator
+
+
+@pytest.mark.parametrize("num, den", [(1, 0), (np.int64(1), np.int64(0)), (0, 0)])
+def test_zero_denominator_raises(num, den):
+    with pytest.raises(InputError, match="zero denominator"):
+        QZValue(num, den)
+
+
+@pytest.mark.parametrize("num, den", [(0.5, 1), (1, 2.0), (np.float64(1), 3), ("1", 3)])
+def test_non_integers_rejected(num, den):
+    with pytest.raises(InputError):
+        QZValue(num, den)

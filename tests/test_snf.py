@@ -20,7 +20,7 @@ from linkforms import (
     smith_normal_form,
     solve_integer_linear,
 )
-from linkforms.snf import matmul_int, identity_matrix, prime_factorization
+from linkforms.snf import _eliminate, identity_matrix, matmul_int, prime_factorization
 from linkforms.errors import PrecisionOverflow
 
 
@@ -158,6 +158,7 @@ def test_column_lattice_index():
     assert column_lattice_index([[1, 0], [0, 1]]) == 1
     assert column_lattice_index([[2, 0], [0, 0]]) == 0
     assert column_lattice_index([[2, 2], [0, 4]]) == 8
+    assert column_lattice_index([[2], [3]]) == 0  # fewer columns than rows
 
 
 def test_prime_factorization_brute_force():
@@ -180,3 +181,29 @@ def test_prime_factorization_brute_force():
 def test_entry_cap():
     with pytest.raises(PrecisionOverflow):
         smith_normal_form([[10**6, 1], [1, 10**6]], cap=10**9)
+
+
+def test_matmul_shape_mismatch_is_value_error():
+    with pytest.raises(ValueError):
+        matmul_int([[1, 2]], [[1, 2]])
+
+
+entries = st.one_of(
+    st.integers(-30, 30),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_diagonal_only_elimination(m, n, zero, data):
+    """The elimination without transforms gives the diagonal and rank of
+    the full SNF: on empty, single-row, single-column and zero matrices
+    and on entries past 2^64."""
+    A = [[0 if zero else data.draw(entries) for _ in range(n)] for _ in range(m)]
+    full = check_snf(A) if m and n else smith_normal_form(A)
+    diag, left, right = _eliminate(A, False)
+    assert left is None and right is None
+    assert diag == full.diag
+    assert sum(1 for d in diag if d) == full.rank
