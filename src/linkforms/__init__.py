@@ -13,7 +13,6 @@ from .errors import (
     InvariantError,
     LinkformsError,
     NonStrictFormError,
-    PrecisionOverflow,
     SingularFormError,
     UnsupportedDegree,
 )

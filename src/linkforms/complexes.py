@@ -345,12 +345,16 @@ class HomologyResult:
 
 
 def _boundary_matrix(faces_lo: list[tuple], faces_hi: list[tuple]) -> list[list[int]]:
+    """Boundary of ``faces_hi`` in the basis ``faces_lo``; faces missing from
+    ``faces_lo`` (those of the subcomplex, for relative chains) are dropped."""
     index = {f: i for i, f in enumerate(faces_lo)}
     mat = [[0] * len(faces_hi) for _ in range(len(faces_lo))]
     for j, f in enumerate(faces_hi):
         for t in range(len(f)):
             face = f[:t] + f[t + 1 :]
-            mat[index[face]][j] = (-1) ** t
+            i = index.get(face)
+            if i is not None:
+                mat[i][j] = (-1) ** t
     return mat
 
 
@@ -771,40 +775,11 @@ def relative_homology(X, y_labels, max_dim: int, budget: int = DEFAULT_SIMPLEX_B
     needed.
     """
     yset = set(y_labels)
-    rel_faces: dict[int, list[tuple]] = {}
-    for d in range(0, max_dim + 2):
-        fs = [f for f in X.faces_of_dim(d, budget=budget) if not set(f) <= yset]
-        rel_faces[d] = fs
-    out = {}
-    for d in range(0, max_dim + 1):
-        lo = rel_faces[d]
-        hi = rel_faces[d + 1]
-        index = {f: i for i, f in enumerate(lo)}
-        mat = [[0] * len(hi) for _ in range(len(lo))]
-        for j, f in enumerate(hi):
-            for t in range(len(f)):
-                face = f[:t] + f[t + 1 :]
-                if face in index:
-                    mat[index[face]][j] = (-1) ** t
-        res_hi = smith_normal_form(mat) if lo and hi else None
-        rank_hi = res_hi.rank if res_hi else 0
-        if d == 0:
-            rank_lo = 0
-        else:
-            lo_prev = rel_faces[d - 1]
-            index_prev = {f: i for i, f in enumerate(lo_prev)}
-            mat_prev = [[0] * len(lo) for _ in range(len(lo_prev))]
-            for j, f in enumerate(lo):
-                for t in range(len(f)):
-                    face = f[:t] + f[t + 1 :]
-                    if face in index_prev:
-                        mat_prev[index_prev[face]][j] = (-1) ** t
-            rank_lo = (
-                smith_normal_form(mat_prev).rank if lo_prev and lo else 0
-            )
-        torsion = tuple(x for x in (res_hi.diag if res_hi else []) if x > 1)
-        out[d] = DegreeHomology(betti=len(lo) - rank_lo - rank_hi, torsion=torsion)
-    return out
+    rel_faces = {
+        d: [f for f in X.faces_of_dim(d, budget=budget) if not set(f) <= yset]
+        for d in range(0, max_dim + 2)
+    }
+    return _assemble(rel_faces, complete=True, top=None, max_dim=max_dim).degrees
 
 
 @dataclass

@@ -58,11 +58,3 @@ class InvariantError(LinkformsError):
     It signals a bug in linkforms, not bad input.  It is raised explicitly,
     so ``python -O`` does not strip the check the way it strips ``assert``.
     """
-
-
-class PrecisionOverflow(LinkformsError):
-    """An intermediate integer exceeded a user-configured magnitude cap.
-
-    Arithmetic is exact (Python big integers) by default; this fires only
-    when a caller opts into a cap to bound memory.
-    """

@@ -543,14 +543,9 @@ class SplitResult:
     retraction: GroupHom
 
 
-def split_along(f: FormMorphism) -> SplitResult:
-    """Split M = f(W_k) (+) f(W_k)^perp off a morphism f : W_k -> M.
-
-    The retraction sends z to (t1, t2) where b(z, y) = t1/k and
-    b(x, z) = t2/k; it restricts to the identity on the image (through f)
-    and its kernel is exactly the orthogonal complement.  This works for
-    arbitrary M, singular or not, because W_k itself is nonsingular.
-    """
+def _retraction(f: FormMorphism) -> GroupHom:
+    """The retraction M -> W_k of ``split_along``, checked to restrict to
+    the identity through f."""
     M = f.target
     k = f.block_k
     x, y = f.x, f.y
@@ -564,6 +559,19 @@ def split_along(f: FormMorphism) -> SplitResult:
     retraction = GroupHom(M.group, wgroup, images)
     if retraction(x).coeffs != (1, 0) or retraction(y).coeffs != (0, 1):
         raise InvariantError("retraction must restrict to the identity through f")
+    return retraction
+
+
+def split_along(f: FormMorphism) -> SplitResult:
+    """Split M = f(W_k) (+) f(W_k)^perp off a morphism f : W_k -> M.
+
+    The retraction sends z to (t1, t2) where b(z, y) = t1/k and
+    b(x, z) = t2/k; it restricts to the identity on the image (through f)
+    and its kernel is exactly the orthogonal complement.  This works for
+    arbitrary M, singular or not, because W_k itself is nonsingular.
+    """
+    M = f.target
+    retraction = _retraction(f)
     image = f.image_subform
     complement = orthogonal_complement(M, image.subgroup)
     if image.order * complement.order != M.group.order:

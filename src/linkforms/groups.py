@@ -7,6 +7,12 @@ of Z/d_1 + ... + Z/d_r corresponds to the integer column lattice spanned by
 its generators' coefficient vectors together with diag(d), and all
 structural questions (order, membership, invariant factors) reduce to
 Smith normal form over Z.
+
+Each subgroup eliminates its lattice once: membership, basis coordinates
+and the invariant-factor presentation all read the one cached SNF (the
+presentation adds a second, r x r, elimination of the relation matrix).
+The order alone comes from the diagonal-only ``column_lattice_index``, so
+subgroups that are only counted never pay for transforms.
 """
 
 from __future__ import annotations
@@ -20,11 +26,8 @@ from .errors import CapExceeded, InputError, InvariantError
 from .snf import (
     Matrix,
     integer_kernel_basis,
-    invert_unimodular,
-    matmul_int,
     column_lattice_index,
     smith_normal_form,
-    solve_integer_linear,
 )
 
 ENUMERATION_CAP = 10**8
@@ -217,18 +220,19 @@ class GroupHom:
         )
 
     def inverse(self) -> "GroupHom":
-        """Inverse of a bijective hom (solves one affine system per generator)."""
+        """Inverse of a bijective hom: one SNF of the congruence system
+        h(z) = e_j, solved for each target generator e_j."""
         if not self.is_isomorphism():
             raise InputError("hom is not invertible")
-        A = self.matrix()
+        n = self.target.rank
+        stacked = _stack_congruences(self.source, list(zip(self.matrix(), self.target.orders)))
+        res = smith_normal_form(stacked)
         preimages = []
-        for j in range(self.target.rank):
-            target_vec = [1 if i == j else 0 for i in range(self.target.rank)]
-            rows = list(zip(A, self.target.orders))
-            sol = solve_affine_congruence_system(self.source, rows, target_vec)
+        for j in range(n):
+            sol = res.solve([1 if i == j else 0 for i in range(n)])
             if sol is None:
                 raise InputError("hom is not invertible")
-            preimages.append(sol)
+            preimages.append(GroupElement(self.source, tuple(sol[: self.source.rank])))
         return GroupHom(self.target, self.source, preimages)
 
 
@@ -263,61 +267,70 @@ class Subgroup:
             return 1
         return self.group.order // column_lattice_index(self._lattice)
 
-    def contains(self, x: GroupElement) -> bool:
+    @cached_property
+    def _snf(self):
+        """left @ lattice @ right = [diag(s) | 0], every s_i >= 1."""
+        return smith_normal_form(self._lattice)
+
+    def _basis_coords(self, x: GroupElement) -> list[int] | None:
+        """Coordinates a of x in the lattice basis left^-1 diag(s), i.e.
+        a = diag(s)^-1 left x, or None when x is not in the subgroup."""
         if x.group != self.group:
-            return False
-        if self.group.rank == 0:
-            return True
-        return solve_integer_linear(self._lattice, list(x.coeffs)) is not None
+            return None
+        res = self._snf
+        a = []
+        for row, s in zip(res.left, res.diag):
+            q, rem = divmod(sum(u * c for u, c in zip(row, x.coeffs)), s)
+            if rem:
+                return None
+            a.append(q)
+        return a
+
+    def contains(self, x: GroupElement) -> bool:
+        return self._basis_coords(x) is not None
 
     @cached_property
     def _decomposition(self):
         """Invariant-factor presentation of the subgroup.
 
-        Returns (orders, gens, U, snf_basis) where `orders` are the
-        invariant factors >= 2, `gens` are ambient elements generating the
-        corresponding cyclic factors, `snf_basis` is the SNF of an r x r
-        matrix whose columns are a lattice basis of the subgroup's lattice
-        L, and `U` is the unimodular matrix such that coordinates w = U a
-        (a = L-basis coordinates) diagonalize L / diag(d).
+        Returns (orders, gens, U) where `orders` are the invariant factors
+        >= 2, `gens` are ambient elements generating the corresponding
+        cyclic factors, and the rows of `U` turn lattice-basis coordinates
+        a into standalone coordinates w = U a.
+
+        With B = left^-1 diag(s) the lattice basis, diag(d) = B M for the
+        relation matrix M = diag(s)^-1 left diag(d).  Its SNF
+        left_M M right_M = diag(t) gives the presentation: B left_M^-1 has
+        column j equal to B M right_M e_j / t_j = diag(d) right_M e_j / t_j,
+        which generates the factor of order t_j.
         """
         r = self.group.rank
         if r == 0:
-            return (), [], [], None
-        C = self._lattice
-        res = smith_normal_form(C)
-        # Columns of C @ right; the first r columns form a basis of L.
-        CR = matmul_int(C, res.right)
-        basis = [[CR[i][j] for j in range(r)] for i in range(r)]
-        # Express diag(d) in that basis: M = basis^-1 diag(d), column by column.
-        snf_basis = smith_normal_form(basis)
-        M_cols = []
-        for i, d in enumerate(self.group.orders):
-            rhs = [d if t == i else 0 for t in range(r)]
-            col = snf_basis.solve(rhs)
-            if col is None:
-                raise InvariantError("diag(d) must lie in the subgroup lattice")
-            M_cols.append(col)
-        M = [[M_cols[j][i] for j in range(r)] for i in range(r)]
+            return (), [], []
+        d = self.group.orders
+        res = self._snf
+        M = []
+        for row, s in zip(res.left, res.diag):
+            q_row = []
+            for u, dj in zip(row, d):
+                q, rem = divmod(u * dj, s)
+                if rem:
+                    raise InvariantError("diag(d) must lie in the subgroup lattice")
+                q_row.append(q)
+            M.append(q_row)
         res_m = smith_normal_form(M)
-        U_inv = invert_unimodular(res_m.left)
         orders = []
         gens = []
-        keep = []
-        for j in range(r):
-            s = res_m.diag[j]
-            if s == 0:
+        U = []
+        for j, t in enumerate(res_m.diag):
+            if t == 0:
                 raise InvariantError("subgroup lattice must have full rank")
-            if s >= 2:
-                keep.append(j)
-                orders.append(s)
-                a = [U_inv[i][j] for i in range(r)]
-                coeffs = [
-                    sum(basis[i][t] * a[t] for t in range(r)) for i in range(r)
-                ]
-                gens.append(GroupElement(self.group, tuple(coeffs)))
-        U = [res_m.left[j] for j in keep]  # rows giving the kept coordinates
-        return tuple(orders), gens, U, snf_basis
+            if t >= 2:
+                orders.append(t)
+                coeffs = tuple(di * res_m.right[i][j] // t for i, di in enumerate(d))
+                gens.append(GroupElement(self.group, coeffs))
+                U.append(res_m.left[j])
+        return tuple(orders), gens, U
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -332,22 +345,16 @@ class Subgroup:
 
     def to_sub_coords(self, x: GroupElement) -> tuple[int, ...]:
         """Coordinates of a subgroup member in the standalone presentation."""
-        orders, gens, U, snf_basis = self._decomposition
-        if not orders:
-            if not self.contains(x):
-                raise InputError("element is not in the subgroup")
-            return ()
-        a = snf_basis.solve(list(x.coeffs))
+        a = self._basis_coords(x)
         if a is None:
             raise InputError("element is not in the subgroup")
-        r = self.group.rank
+        orders, _, U = self._decomposition
         return tuple(
-            sum(U[t][i] * a[i] for i in range(r)) % orders[t]
-            for t in range(len(orders))
+            sum(u * c for u, c in zip(row, a)) % s for row, s in zip(U, orders)
         )
 
     def from_sub_coords(self, w) -> GroupElement:
-        orders, gens, _, _ = self._decomposition
+        orders, gens, _ = self._decomposition
         w = tuple(w)
         if len(w) != len(orders):
             raise InputError("coordinate count does not match subgroup presentation")
@@ -365,7 +372,7 @@ class Subgroup:
                 needed=self.order,
                 cap=cap,
             )
-        orders, gens, _, _ = self._decomposition
+        orders, gens, _ = self._decomposition
         for w in itertools.product(*(range(s) for s in orders)):
             yield self.from_sub_coords(w)
 
@@ -400,17 +407,16 @@ class Subgroup:
         return self.contains(x)
 
 
-def solve_congruence_system(group: FinAbGroup, rows) -> Subgroup:
-    """Subgroup {z : sum_i c_i z_i = 0 mod m, for each row (c, m)}.
+def _stack_congruences(group: FinAbGroup, rows) -> Matrix:
+    """Validate congruence rows (c, m) and stack them as [C | diag(m)].
 
-    Each row must be well posed on the group, meaning c_i * d_i = 0 mod m
-    for every generator order d_i; otherwise the solution set would not be
-    a subgroup and the call raises InputError.
+    Each row must have one coefficient per generator, a modulus m >= 1 and
+    be well posed on the group, meaning c_i * d_i = 0 mod m for every
+    generator order d_i; otherwise the call raises InputError.
     """
     rows = [(list(c), int(m)) for c, m in rows]
-    r = group.rank
     for coeffs, m in rows:
-        if len(coeffs) != r:
+        if len(coeffs) != group.rank:
             raise InputError("congruence row length does not match group rank")
         if m < 1:
             raise InputError(f"modulus {m} must be >= 1")
@@ -420,13 +426,21 @@ def solve_congruence_system(group: FinAbGroup, rows) -> Subgroup:
                     "congruence is not well posed on the group: "
                     f"coefficient {c} with generator order {d} modulo {m}"
                 )
-    if r == 0 or not rows:
-        return Subgroup(group, [group.generator(i) for i in range(r)])
     R = len(rows)
+    return [coeffs + [m if t == j else 0 for t in range(R)] for j, (coeffs, m) in enumerate(rows)]
+
+
+def solve_congruence_system(group: FinAbGroup, rows) -> Subgroup:
+    """Subgroup {z : sum_i c_i z_i = 0 mod m, for each row (c, m)}.
+
+    Each row must be well posed on the group (see ``_stack_congruences``);
+    otherwise the solution set would not be a subgroup.
+    """
+    stacked = _stack_congruences(group, rows)
+    r = group.rank
+    if r == 0 or not stacked:
+        return Subgroup(group, [group.generator(i) for i in range(r)])
     # Kernel of (z, w) -> C z + diag(m) w, projected to z.
-    stacked = []
-    for j, (coeffs, m) in enumerate(rows):
-        stacked.append(coeffs + [m if t == j else 0 for t in range(R)])
     gens = []
     for vec in integer_kernel_basis(stacked):
         g = GroupElement(group, tuple(vec[:r]))
@@ -440,24 +454,13 @@ def solve_affine_congruence_system(group: FinAbGroup, rows, targets):
 
     Same well-posedness requirement as solve_congruence_system.
     """
-    rows = [(list(c), int(m)) for c, m in rows]
     targets = [int(t) for t in targets]
-    if len(targets) != len(rows):
+    stacked = _stack_congruences(group, rows)
+    if len(targets) != len(stacked):
         raise InputError("need one target per congruence row")
-    r = group.rank
-    for coeffs, m in rows:
-        if len(coeffs) != r:
-            raise InputError("congruence row length does not match group rank")
-        for c, d in zip(coeffs, group.orders):
-            if (c * d) % m != 0:
-                raise InputError("congruence is not well posed on the group")
-    if not rows:
+    if not stacked:
         return group.zero()
-    R = len(rows)
-    stacked = []
-    for j, (coeffs, m) in enumerate(rows):
-        stacked.append(coeffs + [m if t == j else 0 for t in range(R)])
-    sol = solve_integer_linear(stacked, targets)
+    sol = smith_normal_form(stacked).solve(targets)
     if sol is None:
         return None
-    return GroupElement(group, tuple(sol[:r]))
+    return GroupElement(group, tuple(sol[: group.rank]))

@@ -27,6 +27,7 @@ from .forms import (
     FormMorphism,
     LinkingForm,
     Subform,
+    _retraction,
     are_isomorphic,
     count_w_morphisms,
     direct_sum,
@@ -35,7 +36,6 @@ from .forms import (
     identity_morphism,
     morphisms_from_w,
     orthogonal_complement,
-    split_along,
     standard_w,
     w_morphism,
     w_morphism_by_index,
@@ -410,8 +410,8 @@ def edge_swap_automorphism(a: FormMorphism, b: FormMorphism) -> FormMorphism:
     form = a.target
     if not are_adjacent(a, b):
         raise InputError("edge swap requires adjacent morphisms")
-    retr_a = split_along(a).retraction
-    retr_b = split_along(b).retraction
+    retr_a = _retraction(a)
+    retr_b = _retraction(b)
     images = []
     for i in range(form.group.rank):
         e = form.group.generator(i)

@@ -3,8 +3,7 @@
 Everything here runs on Python's arbitrary-precision integers.  Fixed-width
 integer SNF is a classic overflow trap (transform entries can blow up far
 past the input magnitude), so no numpy dtype is ever used for these
-computations.  An optional magnitude cap lets callers bound memory; by
-default precision is unbounded.
+computations.
 
 Pivoting is deterministic: the pivot is the entry of smallest nonzero
 absolute value in the remaining submatrix, ties broken in row-major order.
@@ -21,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import PrecisionOverflow
 
 Matrix = list[list[int]]
 
@@ -92,7 +89,7 @@ class SNFResult:
         return [sum(self.right[i][t] * y[t] for t in range(n)) for i in range(n)]
 
 
-def _eliminate(A: Matrix, transforms: bool, cap: int | None = None):
+def _eliminate(A: Matrix, transforms: bool):
     """Diagonalize A by unimodular row and column operations.
 
     Returns ``(diag, left, right)`` with ``left @ A @ right`` diagonal.  The
@@ -112,11 +109,6 @@ def _eliminate(A: Matrix, transforms: bool, cap: int | None = None):
     left = identity_matrix(m) if transforms else None
     right = identity_matrix(n) if transforms else None
 
-    def check(values) -> None:
-        for v in values:
-            if abs(v) > cap:
-                raise PrecisionOverflow(f"intermediate entry exceeds cap {cap}")
-
     def swap_rows(a: int, b: int) -> None:
         work[a], work[b] = work[b], work[a]
         if transforms:
@@ -135,10 +127,6 @@ def _eliminate(A: Matrix, transforms: bool, cap: int | None = None):
         if transforms:
             ld = left[dst]
             ld[:] = [a + factor * b for a, b in zip(ld, left[src])]
-        if cap is not None:
-            check(wd)
-            if transforms:
-                check(ld)
 
     t = 0
     limit = min(m, n)
@@ -197,8 +185,6 @@ def _eliminate(A: Matrix, transforms: bool, cap: int | None = None):
                 if transforms:
                     for row in right:
                         row[j] -= q * row[t]
-                    if cap is not None:
-                        check(row[j] for row in right)
                 if r != 0:
                     swap_cols(j, t)
                     restart = True
@@ -224,13 +210,9 @@ def _eliminate(A: Matrix, transforms: bool, cap: int | None = None):
     return [work[i][i] for i in range(limit)], left, right
 
 
-def smith_normal_form(A: Matrix, cap: int | None = None) -> SNFResult:
-    """SNF of A with both transforms.
-
-    ``cap`` bounds the magnitude of every intermediate entry of the work
-    matrix and the transforms; exceeding it raises PrecisionOverflow.
-    """
-    diag, left, right = _eliminate(A, True, cap)
+def smith_normal_form(A: Matrix) -> SNFResult:
+    """SNF of A with both transforms."""
+    diag, left, right = _eliminate(A, True)
     return SNFResult(left=left, diag=diag, right=right, rank=sum(1 for d in diag if d))
 
 

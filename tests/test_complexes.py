@@ -464,6 +464,14 @@ def test_relative_homology_of_disk_rel_point():
     assert all(h.is_zero() for h in rel.values())
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_relative_homology_rel_empty_is_homology(seed, d):
+    """H_*(X, empty) = H_*(X) on seeded random flag complexes."""
+    K = random_flag_complex(random.Random(seed), n_min=3, n_max=9)
+    assert relative_homology(K, [], max_dim=d) == homology(K, max_dim=d).degrees
+
+
 def test_inclusion_harness_full_subcomplex_passes():
     X = complete_graph(3)
     for n in (0, 1):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -78,12 +79,17 @@ def test_hom_must_respect_orders():
 
 
 def test_hom_iso_inverse():
-    G = FinAbGroup.of(3, 9)
-    phi = GroupHom(G, G, [G.element((1, 3)), G.element((0, 1))])
-    assert phi.is_isomorphism()
-    inv = phi.inverse()
-    for x in G.enumerate_elements():
-        assert inv(phi(x)) == x
+    for orders, images in [
+        ((3, 9), [(1, 3), (0, 1)]),
+        ((4, 12, 12), [(1, 3, 0), (0, 5, 2), (2, 2, 1)]),
+    ]:
+        G = FinAbGroup.of(*orders)
+        phi = GroupHom(G, G, [G.element(c) for c in images])
+        assert phi.is_isomorphism()
+        inv = phi.inverse()
+        for x in G.enumerate_elements():
+            assert inv(phi(x)) == x
+            assert phi(inv(x)) == x
 
 
 def test_subgroups_of_z12():
@@ -131,6 +137,26 @@ def test_sub_coords_of_decomposition_gens():
         assert H.from_sub_coords(H.to_sub_coords(x)) == x
 
 
+def test_subgroup_eliminates_its_lattice_once(monkeypatch):
+    """Membership and coordinates read the one cached SNF of the lattice;
+    the presentation adds the SNF of the relation matrix, and nothing else."""
+    from linkforms import groups
+
+    calls = []
+    real = groups.smith_normal_form
+    monkeypatch.setattr(groups, "smith_normal_form", lambda A: calls.append(A) or real(A))
+    G = FinAbGroup.of(4, 6, 9, 12)
+    H = Subgroup(G, [G.element((2, 3, 3, 4)), G.element((1, 0, 6, 2))])
+    members = [H.from_sub_coords(w) for w in itertools.product(*(range(s) for s in H.invariant_factors))]
+    assert len(calls) == 2
+    for x in members:
+        assert x in H
+        assert H.from_sub_coords(H.to_sub_coords(x)) == x
+    assert G.element((1, 1, 1, 1)) not in H
+    assert len(calls) == 2
+    assert calls[0] == H._lattice
+
+
 def test_standalone_group():
     G = FinAbGroup.of(4, 6)
     H = Subgroup(G, [G.element((2, 3))])
@@ -154,7 +180,14 @@ def test_subgroup_matches_brute_force(data):
     H = Subgroup(G, gens)
     brute = brute_subgroup(G, gens)
     assert H.order == len(brute)
-    assert all(G.element(c) in H for c in brute)
+    for x in G.enumerate_elements():
+        if x.coeffs in brute:
+            assert x in H
+            assert H.from_sub_coords(H.to_sub_coords(x)) == x
+        else:
+            assert x not in H
+            with pytest.raises(InputError):
+                H.to_sub_coords(x)
     gens_dec = H.decomposition_gens
     assert math.prod(g.order for g in gens_dec) == H.order
 
@@ -183,6 +216,49 @@ def test_affine_congruence():
     assert z is not None
     assert (3 * z.coeffs[0]) % 9 == 3
     assert solve_affine_congruence_system(G, [([3, 0], 9)], [1]) is None
+
+
+def test_affine_congruence_rejects_zero_modulus():
+    with pytest.raises(InputError):
+        solve_affine_congruence_system(FinAbGroup.of(4), [([0], 0)], [0])
+
+
+DIGEST_ORDERS = (2, 3, 4, 6, 8, 9, 12, 27, 1048573, 2 * 1048583)
+
+
+def presentation_digest(count=200, seed=1048583):
+    """SHA-256 over the invariant factors, the decomposition generators, the
+    standalone coordinates of three sampled members and the membership of
+    one random element, for ``count`` seeded subgroups."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(count):
+        orders = [rng.choice(DIGEST_ORDERS) for _ in range(rng.randint(1, 3))]
+        G = FinAbGroup.of(*orders)
+        gens = [
+            G.element(tuple(rng.randrange(d) * rng.choice((1, 2, 3, 4, 9)) for d in orders))
+            for _ in range(rng.randint(0, 3))
+        ]
+        H = Subgroup(G, gens)
+        members = []
+        for _ in range(3):
+            x = G.zero()
+            for g in gens:
+                x = x + g.scale(rng.randrange(2 * max(orders)))
+            members.append(H.to_sub_coords(x))
+        probe = G.element(tuple(rng.randrange(d) for d in orders))
+        row = (H.invariant_factors, [g.coeffs for g in H.decomposition_gens], members, probe in H)
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_subgroup_presentation_is_frozen():
+    """The invariant-factor presentation feeds path vertices and rank node
+    counts, which the benchmark checksums cover, so it must not drift; the
+    frozen digest covers orders 1048573 and 2*1048583."""
+    assert presentation_digest() == (
+        "a17419510b3490a3dfadc62e3612c3de23e96d1580fdc456404a9227d464040a"
+    )
 
 
 def test_intersection_brute_force():

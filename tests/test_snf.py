@@ -21,7 +21,6 @@ from linkforms import (
     solve_integer_linear,
 )
 from linkforms.snf import _eliminate, identity_matrix, matmul_int, prime_factorization
-from linkforms.errors import PrecisionOverflow
 
 
 def bareiss_det(A):
@@ -176,11 +175,6 @@ def test_prime_factorization_brute_force():
     assert prime_factorization(1048583) == [(1048583, 1)]
     assert prime_factorization(2 * 1048583) == [(2, 1), (1048583, 1)]
     assert prime_factorization(2**20 - 1) == [(3, 1), (5, 2), (11, 1), (31, 1), (41, 1)]
-
-
-def test_entry_cap():
-    with pytest.raises(PrecisionOverflow):
-        smith_normal_form([[10**6, 1], [1, 10**6]], cap=10**9)
 
 
 def test_matmul_shape_mismatch_is_value_error():
