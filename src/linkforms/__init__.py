@@ -21,9 +21,7 @@ from .snf import (
     SNFResult,
     column_lattice_index,
     integer_kernel_basis,
-    invert_unimodular,
     smith_normal_form,
-    solve_integer_linear,
 )
 from .groups import (
     FinAbGroup,
@@ -53,7 +51,6 @@ from .forms import (
     orthogonal_complement,
     split_along,
     standard_w,
-    subforms_orthogonal,
     w_morphism,
     w_morphism_by_index,
     w_power,

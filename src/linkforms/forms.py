@@ -311,16 +311,6 @@ def orthogonal_complement(form: LinkingForm, sub) -> Subform:
     return Subform(form, sol)
 
 
-def subforms_orthogonal(form: LinkingForm, a: Subform, b: Subform) -> bool:
-    """Mutual orthogonality in the strong sense: b-vanishing plus S and T
-    intersecting trivially."""
-    for ga in a.subgroup.decomposition_gens:
-        for gb in b.subgroup.decomposition_gens:
-            if not form.evaluate(ga, gb).is_zero():
-                return False
-    return a.subgroup.intersection(b.subgroup).order == 1
-
-
 # ---------------------------------------------------------------------------
 # Morphisms
 # ---------------------------------------------------------------------------
@@ -466,10 +456,19 @@ def count_w_morphisms(form: LinkingForm, k: int) -> int:
     return int(form._w_counts(k)[-1])
 
 
-def morphisms_from_w(
-    form: LinkingForm, k: int, cap: int = DEFAULT_VERTEX_CAP
-) -> list[FormMorphism]:
-    """All morphisms W_k -> form, ordered lexicographically by (x, y)."""
+def _w_pairs(form: LinkingForm, k: int, cap: int) -> list[tuple[tuple, tuple]]:
+    """Coefficient tuples (x, y) of every morphism W_k -> form, ordered
+    lexicographically by (x, y).
+
+    The pairs come from one scan of the congruence b(x, y) = 1/k over
+    M[k] x M[k]; the scan must find exactly the ``count_w_morphisms``
+    total, or the call raises InvariantError.  Each tuple is reduced mod
+    the group orders, as ``GroupElement.coeffs`` and ``image_key`` are.
+    Building and checking the ``FormMorphism`` of a pair is left to the
+    caller, so that a caller who needs only some of them builds only those:
+    ``rank._distinct_image_branches`` builds one per image, which is sound
+    because a morphism from the nonsingular W_k is injective.
+    """
     total = count_w_morphisms(form, k)
     if total > cap:
         raise CapExceeded(
@@ -482,13 +481,18 @@ def morphisms_from_w(
     pairs, found = _kernels.pairs_hitting(X, N, D, D // k, total)
     if found != total:
         raise InvariantError(f"pair scan found {found} morphisms, the row counts {total}")
+    rows = [tuple(row) for row in X.tolist()]
+    return [(rows[i], rows[j]) for i, j in pairs.tolist()]
+
+
+def morphisms_from_w(
+    form: LinkingForm, k: int, cap: int = DEFAULT_VERTEX_CAP
+) -> list[FormMorphism]:
+    """All morphisms W_k -> form, ordered lexicographically by (x, y)."""
+    pairs = _w_pairs(form, k, cap)
     source = standard_w(k)
-    out = []
-    for i, j in pairs.tolist():
-        x = form.group.element(tuple(X[i].tolist()))
-        y = form.group.element(tuple(X[j].tolist()))
-        out.append(FormMorphism(source, form, [x, y]))
-    return out
+    element = form.group.element
+    return [FormMorphism(source, form, [element(x), element(y)]) for x, y in pairs]
 
 
 def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:

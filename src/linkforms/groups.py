@@ -382,19 +382,23 @@ class Subgroup:
         return Subgroup(self.group, self.generators + other.generators)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        """Lattice intersection: solve C1 a = C2 b and keep the C1 a side."""
+        """Lattice intersection: solve C1 a = C2 b and keep the C1 a side.
+
+        Only the generator columns of C1 are summed: its diag(orders)
+        columns add d_i a_t to coordinate i, which reduces to 0.
+        """
         if other.group != self.group:
             raise InputError("subgroups of different ambient groups")
         r = self.group.rank
         if r == 0:
             return Subgroup(self.group, [])
         C1, C2 = self._lattice, other._lattice
-        n1, n2 = len(C1[0]), len(C2[0])
+        n = len(self.generators)
         stacked = [C1[i] + [-v for v in C2[i]] for i in range(r)]
         gens = []
         for vec in integer_kernel_basis(stacked):
-            a = vec[:n1]
-            coeffs = [sum(C1[i][t] * a[t] for t in range(n1)) for i in range(r)]
+            a = vec[:n]
+            coeffs = [sum(C1[i][t] * a[t] for t in range(n)) for i in range(r)]
             g = GroupElement(self.group, tuple(coeffs))
             if not g.is_zero():
                 gens.append(g)

@@ -8,6 +8,15 @@ problem to the orthogonal complement of I, so we branch over distinct
 images and recurse,
 memoizing nonsingular complements by their classification.
 
+The distinct images are found without building a morphism per pair.  A
+morphism from W_k is injective, because W_k is nonsingular, so every image
+has exactly k^2 elements and a pair (x, y) whose two elements lie in one
+image S already listed spans S itself.  An index from each element to the
+listed images containing it lets the walk over the pairs skip those; a
+``FormMorphism`` and its span are built only for the first pair of each
+new image.  The branches are the first morphism of each image, in
+enumeration order.
+
 Two sound upper bounds certify most instances without branching:
 
 * size: k^(2g) must divide into |M|, so g <= floor(log_{k^2} |M|);
@@ -24,16 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExhausted, CapExceeded, InvariantError
+from .errors import BudgetExhausted, CapExceeded, InputError, InvariantError
 from .forms import (
     FormMorphism,
     LinkingForm,
     Subform,
+    _w_pairs,
     direct_sum,
     first_w_morphism,
-    morphisms_from_w,
     normal_form,
     split_along,
+    standard_w,
     w_power,
 )
 from .snf import prime_factorization
@@ -96,14 +106,29 @@ def _greedy_chain(form: LinkingForm, k: int) -> list[FormMorphism]:
 
 
 def _distinct_image_branches(form: LinkingForm, k: int, cap: int):
-    """One morphism per distinct image subgroup, in enumeration order."""
-    seen = set()
+    """One morphism per distinct image subgroup, in enumeration order: the
+    first of ``morphisms_from_w`` with each ``image_key``.
+
+    The pairs (x, y) of ``_w_pairs`` are walked with an index from each
+    element to the images already listed that contain it.  A morphism from
+    W_k is injective, so span(x, y) has exactly k^2 elements; if x and y
+    lie in one listed image S, then span(x, y) is inside S and the two are
+    equal, so the pair is skipped.  Otherwise its image is new: only then
+    are its ``FormMorphism`` (with the exact pairing check) and its span
+    built.
+    """
+    source = standard_w(k)
+    element = form.group.element
+    containing: dict[tuple, list[frozenset]] = {}  # element -> listed images
     out = []
-    for f in morphisms_from_w(form, k, cap=cap):
-        key = f.image_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
+    for x, y in _w_pairs(form, k, cap):
+        if any(y in span for span in containing.get(x, ())):
+            continue
+        f = FormMorphism(source, form, [element(x), element(y)])
+        span = f.image_key()
+        for z in span:
+            containing.setdefault(z, []).append(span)
+        out.append(f)
     return out
 
 
@@ -165,8 +190,11 @@ def k_rank(form: LinkingForm, k: int, budget: int = 200_000) -> RankResult:
 
     Certified results come from bounds meeting or from exhausting the
     branch tree; budget exhaustion downgrades to an uncertified lower
-    bound carrying the best witness found.
+    bound carrying the best witness found.  Raises InputError for k < 2,
+    where no block W_k exists (and the size bound would never stop).
     """
+    if k < 2:
+        raise InputError("k must be >= 2")
     state = _SearchState(budget=budget)
     ub = upper_bound(form, k)
     greedy = _greedy_chain(form, k)
@@ -208,6 +236,10 @@ def stable_k_rank(form: LinkingForm, k: int, g_max: int, budget: int = 200_000) 
     the achieving computation is certified and the value meets that bound,
     since no larger g could then improve it.
     """
+    if k < 2:
+        raise InputError("k must be >= 2")
+    if g_max < 0:
+        raise InputError(f"g_max = {g_max} must be >= 0")
     per_g = []
     value = None
     certified_at_value = False

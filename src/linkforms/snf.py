@@ -28,26 +28,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matmul_int(A: Matrix, B: Matrix) -> Matrix:
-    """Exact integer matrix product (no numpy: entries may be huge)."""
-    if not A:
-        return []
-    inner = len(B)
-    if any(len(row) != inner for row in A):
-        raise ValueError("matrix shapes do not match for a product")
-    cols = len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(len(A))]
-    for i, arow in enumerate(A):
-        orow = out[i]
-        for t, a in enumerate(arow):
-            if a == 0:
-                continue
-            brow = B[t]
-            for j in range(cols):
-                orow[j] += a * brow[j]
-    return out
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """left @ A @ right is diagonal with the entries in ``diag``.
@@ -231,25 +211,6 @@ def integer_kernel_basis(A: Matrix) -> list[list[int]]:
     for j in range(res.rank, n):
         basis.append([res.right[i][j] for i in range(n)])
     return basis
-
-
-def solve_integer_linear(A: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution of A @ x = b, or None when none exists."""
-    return smith_normal_form(A).solve(b)
-
-
-def invert_unimodular(A: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1.
-
-    From left @ A @ right = I it follows that A^-1 = right @ left.
-    """
-    n = len(A)
-    if n == 0:
-        return []
-    res = smith_normal_form(A)
-    if any(d != 1 for d in res.diag) or len(A[0]) != n:
-        raise ValueError("matrix is not unimodular")
-    return matmul_int(res.right, res.left)
 
 
 def column_lattice_index(A: Matrix) -> int:

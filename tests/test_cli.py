@@ -320,6 +320,23 @@ def test_console_entry_point(files):
     assert json.loads(proc.stdout)["data"]["normal_form"] == "W_{3}^{1}"
 
 
+@pytest.mark.parametrize(
+    "argv", [("1",), ("0",), ("3", "--stable", "--gmax", "-1"), ("1", "--stable")]
+)
+def test_rank_rejects_bad_level_and_gmax(files, argv):
+    """k < 2 and a negative --gmax are input errors (exit 2).  The CLI runs
+    in a subprocess with a timeout, so that a hang fails the test instead of
+    stalling the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "linkforms.cli", "rank", files["w3sq"], *argv, "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["data"]["kind"] == "InputError"
+
+
 def test_text_and_json_verdicts_agree(files, capsys):
     code_t, out_t, _ = run(capsys, "classify", files["mixed"])
     code_j, report = run_json(capsys, "classify", files["mixed"])

@@ -29,7 +29,6 @@ from linkforms import (
     orthogonal_complement,
     split_along,
     standard_w,
-    subforms_orthogonal,
     w_morphism,
     w_morphism_by_index,
     w_power,
@@ -263,18 +262,6 @@ def test_complement_evaluation_restricts():
             assert comp.form.evaluate(
                 comp.restrict_element(a), comp.restrict_element(b)
             ) == form.evaluate(a, b)
-
-
-def test_subforms_orthogonal():
-    from linkforms import Subform
-
-    form = w_power(3, 2)
-    A = Subform(form, Subgroup(form.group, [form.group.element((1, 0, 0, 0)),
-                                            form.group.element((0, 1, 0, 0))]))
-    B = Subform(form, Subgroup(form.group, [form.group.element((0, 0, 1, 0)),
-                                            form.group.element((0, 0, 0, 1))]))
-    assert subforms_orthogonal(form, A, B)
-    assert not subforms_orthogonal(form, A, A)
 
 
 # ---------------------------------------------------------------------------

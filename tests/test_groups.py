@@ -12,6 +12,7 @@ from linkforms import (
     InputError,
     Subgroup,
     column_lattice_index,
+    integer_kernel_basis,
     solve_affine_congruence_system,
     solve_congruence_system,
 )
@@ -276,6 +277,37 @@ def test_intersection_brute_force():
         got = A.intersection(B)
         assert got.order == len(want)
         assert all(G.element(c) in got for c in want)
+
+
+def test_intersection_generators_match_full_column_sum():
+    """Summing only the generator columns of C1 gives the same generator
+    list as summing every column, diag(orders) included, on seeded pairs
+    with orders up to 2*1048583."""
+    def full_sum_reference(A, B):
+        C1, C2 = A._lattice, B._lattice
+        r, n1 = len(C1), len(C1[0])
+        stacked = [C1[i] + [-v for v in C2[i]] for i in range(r)]
+        gens = []
+        for vec in integer_kernel_basis(stacked):
+            g = A.group.element([sum(C1[i][t] * vec[t] for t in range(n1)) for i in range(r)])
+            if not g.is_zero():
+                gens.append(g.coeffs)
+        return gens
+
+    rng = random.Random(2 * 1048583)
+    for _ in range(150):
+        orders = [rng.choice(DIGEST_ORDERS) for _ in range(rng.randint(1, 3))]
+        G = FinAbGroup.of(*orders)
+
+        def random_subgroup():
+            return Subgroup(G, [
+                G.element(tuple(rng.randrange(d) * rng.choice((1, 2, 3, 4, 9)) for d in orders))
+                for _ in range(rng.randint(0, 3))
+            ])
+
+        A, B = random_subgroup(), random_subgroup()
+        got = [g.coeffs for g in A.intersection(B).generators]
+        assert got == full_sum_reference(A, B)
 
 
 @settings(max_examples=40, deadline=None)

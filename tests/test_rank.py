@@ -7,16 +7,23 @@ networkx's maximal-clique enumerator; adjacency is evaluated straight from
 the form, not through the library's own predicates.
 """
 
+import hashlib
+import itertools
+import math
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkforms import (
     FinAbGroup,
+    GroupHom,
+    InputError,
     LinkingForm,
     direct_sum,
     k_rank,
+    kernel_form,
     morphisms_from_w,
     stable_k_rank,
     standard_w,
@@ -24,6 +31,7 @@ from linkforms import (
     w_power,
 )
 from linkforms.corpus import scramble_form
+from linkforms.rank import _distinct_image_branches
 
 
 def orthogonal(form, f, g):
@@ -167,3 +175,103 @@ def test_stable_rank_of_trivial_form():
     trivial = LinkingForm(FinAbGroup.of(), [])
     res = stable_k_rank(trivial, 3, g_max=2)
     assert res.value == 0
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_rank_rejects_k_below_two(k):
+    with pytest.raises(InputError):
+        k_rank(w_power(3, 2), k)
+    with pytest.raises(InputError):
+        stable_k_rank(w_power(3, 2), k, g_max=1)
+
+
+def test_stable_rank_rejects_negative_g_max():
+    with pytest.raises(InputError):
+        stable_k_rank(standard_w(3), 3, g_max=-1)
+
+
+# ---------------------------------------------------------------------------
+# distinct-image branches
+# ---------------------------------------------------------------------------
+
+
+def first_morphism_per_image(form, k):
+    """The definition: the first morphism of each image_key, in the
+    lexicographic enumeration of morphisms_from_w."""
+    seen, out = set(), []
+    for f in morphisms_from_w(form, k):
+        key = f.image_key()
+        if key not in seen:
+            seen.add(key)
+            out.append(f)
+    return out
+
+
+def kernel_of(form, m, coeffs):
+    cyclic = FinAbGroup.of(m)
+    phi = GroupHom(form.group, cyclic, [cyclic.element((c,)) for c in coeffs])
+    return kernel_form(form, phi).form
+
+
+W3_W9 = direct_sum(standard_w(3), standard_w(9))
+BIG = 2 * 1048583  # past the int64 gate: the exact pairing path
+
+
+@st.composite
+def branch_cases(draw):
+    """(form, k): W_3^2, W_3 (+) W_9 and its kernels, W_2^2, W_6^2 at k = 2
+    and 3, kernels of surjections W_6^2 -> Z/6 at the composite k = 6 (W_6^2
+    itself has 259,200 morphisms, too many for the definition above), and
+    W_BIG^2 at k = 2, each optionally scrambled."""
+    case = draw(st.sampled_from(["w3sq", "w3w9", "w3w9-kernel", "w2sq", "w6sq", "w6sq-kernel", "big"]))
+    if case == "w3sq":
+        form, k = w_power(3, 2), 3
+    elif case == "w3w9":
+        form, k = W3_W9, 3
+    elif case == "w3w9-kernel":
+        form, k = kernel_of(W3_W9, 3, draw(st.tuples(*[st.integers(0, 2)] * 4))), 3
+    elif case == "w2sq":
+        form, k = w_power(2, 2), 2
+    elif case == "w6sq":
+        form, k = w_power(6, 2), draw(st.sampled_from([2, 3]))
+    elif case == "w6sq-kernel":
+        coeffs = draw(st.tuples(*[st.integers(0, 5)] * 4).filter(lambda c: math.gcd(*c, 6) == 1))
+        form, k = kernel_of(w_power(6, 2), 6, coeffs), 6
+    else:
+        form, k = w_power(BIG, 2), 2
+        assert form._np_numerators is None
+    if draw(st.booleans()):
+        form, _ = scramble_form(form, random.Random(draw(st.integers(0, 2**32))))
+    return form, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_cases())
+def test_distinct_image_branches_match_definition(case):
+    form, k = case
+    got = _distinct_image_branches(form, k, cap=500_000)
+    want = first_morphism_per_image(form, k)
+    assert [f.key() for f in got] == [f.key() for f in want]
+
+
+def rank_digest():
+    """SHA-256 over (value, certified, nodes, bound, witness keys) of
+    k_rank(ker phi, 3) for all 81 maps phi : F -> Z/3, F = W_3 (+) W_9 and
+    W_3^2."""
+    h = hashlib.sha256()
+    for form in (W3_W9, w_power(3, 2)):
+        for coeffs in itertools.product(range(3), repeat=4):
+            res = k_rank(kernel_of(form, 3, coeffs), 3)
+            row = (coeffs, res.value, res.certified, res.nodes, res.bound,
+                   [f.key() for f in res.witness])
+            h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_rank_of_kernels_is_frozen():
+    """Branch order, node counts and witnesses feed the benchmark checksums,
+    so they must not drift; the digest is that of the search that built
+    and kept one morphism per pair before deduplicating images."""
+    assert rank_digest() == (
+        "dc49ffe761cd499e8272ed859076b4cb2c26ea2dcd84d4ba55fdb19af8d41fba"
+    )

@@ -13,14 +13,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkforms import (
-    column_lattice_index,
-    integer_kernel_basis,
-    invert_unimodular,
-    smith_normal_form,
-    solve_integer_linear,
-)
-from linkforms.snf import _eliminate, identity_matrix, matmul_int, prime_factorization
+from linkforms import column_lattice_index, integer_kernel_basis, smith_normal_form
+from linkforms.snf import _eliminate, prime_factorization
 
 
 def bareiss_det(A):
@@ -60,12 +54,17 @@ def minor_gcds(A):
     return out
 
 
+def matmul(A, B):
+    """Exact integer matrix product."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 def check_snf(A):
     res = smith_normal_form(A)
     m, n = len(A), len(A[0]) if A else 0
     assert abs(bareiss_det(res.left)) == 1
     assert abs(bareiss_det(res.right)) == 1
-    D = matmul_int(matmul_int(res.left, A), res.right)
+    D = matmul(matmul(res.left, A), res.right)
     assert D == res.diagonal_matrix(m, n)
     for a, b in zip(res.diag, res.diag[1:]):
         if b != 0:
@@ -127,7 +126,7 @@ def test_kernel_basis():
     B = [[basis[i][j] for i in range(len(basis))] for j in range(3)]
     for v in itertools.product(range(-3, 4), repeat=3):
         if all(sum(row[j] * v[j] for j in range(3)) == 0 for row in A):
-            assert solve_integer_linear(B, list(v)) is not None
+            assert smith_normal_form(B).solve(list(v)) is not None
 
 
 def test_solve_integer_linear():
@@ -137,19 +136,11 @@ def test_solve_integer_linear():
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         x = [rng.randint(-5, 5) for _ in range(n)]
         b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
-        sol = solve_integer_linear(A, b)
+        sol = smith_normal_form(A).solve(b)
         assert sol is not None
         assert [sum(A[i][j] * sol[j] for j in range(n)) for i in range(m)] == b
-    assert solve_integer_linear([[2]], [1]) is None
-    assert solve_integer_linear([[2, 0], [0, 3]], [4, 5]) is None
-
-
-def test_invert_unimodular():
-    U = [[1, 2], [0, 1]]
-    V = invert_unimodular(U)
-    assert matmul_int(U, V) == identity_matrix(2)
-    with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
+    assert smith_normal_form([[2]]).solve([1]) is None
+    assert smith_normal_form([[2, 0], [0, 3]]).solve([4, 5]) is None
 
 
 def test_column_lattice_index():
@@ -175,11 +166,6 @@ def test_prime_factorization_brute_force():
     assert prime_factorization(1048583) == [(1048583, 1)]
     assert prime_factorization(2 * 1048583) == [(2, 1), (1048583, 1)]
     assert prime_factorization(2**20 - 1) == [(3, 1), (5, 2), (11, 1), (31, 1), (41, 1)]
-
-
-def test_matmul_shape_mismatch_is_value_error():
-    with pytest.raises(ValueError):
-        matmul_int([[1, 2]], [[1, 2]])
 
 
 entries = st.one_of(
