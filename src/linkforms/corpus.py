@@ -114,12 +114,8 @@ def scramble_form(form: LinkingForm, rng: random.Random, steps: int = 25):
     """An isomorphic copy of the form on the same group, with the
     isomorphism (scrambled -> original) that witnesses it."""
     phi = random_group_automorphism(form.group, rng, steps)
-    gram = [
-        [form.evaluate(phi(form.group.generator(i)), phi(form.group.generator(j)))
-         for j in range(form.group.rank)]
-        for i in range(form.group.rank)
-    ]
-    scrambled = LinkingForm(form.group, gram, name=form.name)
+    N = [form._pairings(a, phi.images) for a in phi.images]
+    scrambled = LinkingForm._from_numerators(form.group, form.denominator, N, name=form.name)
     witness = FormMorphism(scrambled, form, phi.images)
     return scrambled, witness
 

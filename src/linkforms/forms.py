@@ -1,21 +1,23 @@
 """Strictly skew linking forms b : M x M -> Q/Z on finite abelian groups.
 
-A form is stored as a Gram matrix of Q/Z values on the group's generators,
-with b(e_i, e_i) = 0 and b(e_j, e_i) = -b(e_i, e_j); bilinearity then pins
-down b everywhere, and strictness (b(x, x) = 0 for every x, including
-2-torsion) follows from the generator conditions.
-
-All Gram entries share the common denominator D = lcm of entry orders, so
-a pairing value is an integer numerator mod D.  The bulk enumeration paths
-hand coefficient arrays to ``linkforms._kernels``: int64 inside the
-``fits_int64`` gate, exact Python ints outside it; everything
-structural (complements, splittings, classification) runs exact through
-the Smith-normal-form machinery in ``linkforms.groups``.
+A form is stored as integers: D, the lcm of the orders of its Gram entries,
+and the numerators N reduced mod D, with b(e_i, e_j) = N[i][j] / D on the
+group's generators.  The constructors check N[i][i] = 0, N[j][i] = -N[i][j]
+and d_i N[i][j] = 0 mod D; bilinearity then pins down b everywhere, and
+strictness (b(x, x) = 0 for every x, including 2-torsion) follows.  The
+``QZValue`` matrix ``gram`` is derived from (D, N) for documents and
+callers, and ``evaluate`` returns a ``QZValue``; inside the package every
+pairing is an integer numerator, through ``dual_functional_rows``.  The
+bulk enumeration paths hand coefficient arrays to ``linkforms._kernels``:
+int64 inside the ``fits_int64`` gate, exact Python ints outside it;
+everything structural (complements, splittings, classification) runs
+exact through the Smith-normal-form machinery in ``linkforms.groups``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,45 +49,57 @@ class LinkingForm:
     """A strictly skew bilinear form with values in Q/Z."""
 
     def __init__(self, group: FinAbGroup, gram, name: str | None = None):
-        self.group = group
         rows = [tuple(row) for row in gram]
         r = group.rank
         if len(rows) != r or any(len(row) != r for row in rows):
             raise InputError(f"gram matrix must be {r} x {r}")
-        for i in range(r):
-            for j in range(r):
-                v = rows[i][j]
-                if not isinstance(v, QZValue):
-                    raise InputError("gram entries must be QZValue")
-                if i == j and not v.is_zero():
+        if not all(isinstance(v, QZValue) for row in rows for v in row):
+            raise InputError("gram entries must be QZValue")
+        D = math.lcm(*(v.den for row in rows for v in row))
+        self._store(group, D, [[v.num * (D // v.den) for v in row] for row in rows], name)
+
+    @classmethod
+    def _from_numerators(cls, group: FinAbGroup, D: int, N, name: str | None = None):
+        """The form with b(e_i, e_j) = N[i][j] / D, checked as the public
+        constructor checks it.  D need not be minimal nor N reduced: both
+        are brought to the (D, N) that ``LinkingForm`` stores for a gram."""
+        form = cls.__new__(cls)
+        form._store(group, D, N, name)
+        return form
+
+    def _store(self, group: FinAbGroup, D: int, N, name: str | None) -> None:
+        N = [[n % D for n in row] for row in N]
+        g = math.gcd(D, *(n for row in N for n in row))
+        D //= g
+        N = tuple(tuple(n // g for n in row) for row in N)
+        for i, (d, row) in enumerate(zip(group.orders, N)):
+            for j, n in enumerate(row):
+                if i == j and n:
                     raise NonStrictFormError(
-                        f"diagonal gram entry b(e_{i}, e_{i}) = {v} must vanish"
+                        f"diagonal gram entry b(e_{i}, e_{i}) = {QZValue(n, D)} must vanish"
                     )
-                if rows[j][i] != -v:
+                if N[j][i] != -n % D:
                     raise InputError(
-                        f"gram is not skew at ({i}, {j}): {rows[j][i]} != -({v})"
+                        f"gram is not skew at ({i}, {j}): "
+                        f"{QZValue(N[j][i], D)} != -({QZValue(n, D)})"
                     )
                 # b(d_i e_i, e_j) = 0 pins the entry's order to divide d_i.
-                if not v.scale(group.orders[i]).is_zero():
+                if d * n % D:
                     raise InputError(
-                        f"gram entry b(e_{i}, e_{j}) = {v} is not killed by "
-                        f"generator order {group.orders[i]}"
+                        f"gram entry b(e_{i}, e_{j}) = {QZValue(n, D)} is not killed by "
+                        f"generator order {d}"
                     )
-        self.gram = rows
+        self.group = group
+        self.denominator = D
+        self.numerators = N
         self.name = name
         self._w_rows_cache: dict[int, tuple] = {}
         self._w_counts_cache: dict[int, np.ndarray] = {}
 
-    # -- integer numerator representation -----------------------------------
-
     @cached_property
-    def denominator(self) -> int:
-        return math.lcm(*(v.den for row in self.gram for v in row)) if self.group.rank else 1
-
-    @cached_property
-    def numerators(self) -> list[list[int]]:
+    def gram(self) -> tuple[tuple[QZValue, ...], ...]:
         D = self.denominator
-        return [[v.num * (D // v.den) for v in row] for row in self.gram]
+        return tuple(tuple(QZValue(n, D) for n in row) for row in self.numerators)
 
     @cached_property
     def _np_numerators(self):
@@ -101,40 +115,31 @@ class LinkingForm:
     def evaluate(self, x: GroupElement, y: GroupElement) -> QZValue:
         if x.group != self.group or y.group != self.group:
             raise InputError("elements do not belong to the form's group")
-        D = self.denominator
-        N = self.numerators
-        acc = 0
-        for i, xi in enumerate(x.coeffs):
-            if xi == 0:
-                continue
-            row = N[i]
-            for j, yj in enumerate(y.coeffs):
-                if yj:
-                    acc += xi * yj * row[j]
-        return QZValue(acc, D)
+        return QZValue(self._pairings(x, [y])[0], self.denominator)
+
+    def _pairings(self, x: GroupElement, ys) -> list[int]:
+        """Numerators over D, in [0, D), of b(x, y) for each y of ``ys``."""
+        c, D = self.dual_functional_rows(x)
+        return [sum(map(operator.mul, c, y.coeffs)) % D for y in ys]
 
     # -- structure -----------------------------------------------------------
 
     def radical(self) -> Subgroup:
         """{z : b(z, -) = 0}, the kernel of the duality map."""
         D = self.denominator
-        N = self.numerators
-        r = self.group.rank
-        rows = []
-        for j in range(r):
-            rows.append(([N[i][j] for i in range(r)], D))
-        return solve_congruence_system(self.group, rows)
+        return solve_congruence_system(self.group, [(col, D) for col in zip(*self.numerators)])
 
     def is_nonsingular(self) -> bool:
         """Duality map into Hom(M, Q/Z) injective; bijective follows by finiteness."""
         return self.radical().order == 1
 
     def dual_functional_rows(self, x: GroupElement) -> tuple[list[int], int]:
-        """Coefficients c with b(x, z) = (sum c_i z_i)/D, plus D."""
-        N = self.numerators
-        r = self.group.rank
-        c = [sum(x.coeffs[t] * N[t][i] for t in range(r)) % self.denominator for i in range(r)]
-        return c, self.denominator
+        """Coefficients c = x N mod D, with b(x, z) = (sum c_i z_i)/D, plus D.
+
+        N is skew, so (x N)_i = -(N x)_i: one row product per coefficient.
+        """
+        D = self.denominator
+        return [-sum(map(operator.mul, row, x.coeffs)) % D for row in self.numerators], D
 
     def torsion_matrix(self, k: int, cap: int = 10**8, dtype=np.int64):
         """Array of {z : k z = 0} coefficients in lexicographic order.
@@ -194,11 +199,12 @@ class LinkingForm:
         return (
             isinstance(other, LinkingForm)
             and self.group == other.group
-            and self.gram == other.gram
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, tuple(self.gram)))
+        return hash((self.group, self.denominator, self.numerators))
 
     def __str__(self) -> str:
         return self.name or f"form on {self.group}"
@@ -208,29 +214,23 @@ def standard_w(k: int, name: str | None = None) -> LinkingForm:
     """The rank-two building block on (Z/k)^2 with b(rho, sigma) = 1/k."""
     if k < 2:
         raise InputError(f"block parameter k = {k} must be >= 2")
-    group = FinAbGroup.of(k, k)
-    one_over_k = QZValue(1, k)
-    gram = [
-        [QZValue.zero(), one_over_k],
-        [-one_over_k, QZValue.zero()],
-    ]
-    return LinkingForm(group, gram, name=name or f"W_{k}")
+    return LinkingForm._from_numerators(
+        FinAbGroup.of(k, k), k, [[0, 1], [-1, 0]], name=name or f"W_{k}"
+    )
 
 
 def direct_sum(*forms: LinkingForm, name: str | None = None) -> LinkingForm:
     group = FinAbGroup(tuple(d for f in forms for d in f.group.orders))
-    r = group.rank
-    gram = [[QZValue.zero()] * r for _ in range(r)]
+    D = math.lcm(*(f.denominator for f in forms))
+    N = []
     offset = 0
     for f in forms:
-        fr = f.group.rank
-        for i in range(fr):
-            for j in range(fr):
-                gram[offset + i][offset + j] = f.gram[i][j]
-        offset += fr
+        scale, pad = D // f.denominator, group.rank - offset - f.group.rank
+        N += [[0] * offset + [scale * n for n in row] + [0] * pad for row in f.numerators]
+        offset += f.group.rank
     if name is None and all(f.name for f in forms) and forms:
         name = " (+) ".join(f.name for f in forms)
-    return LinkingForm(group, gram, name=name)
+    return LinkingForm._from_numerators(group, D, N, name=name)
 
 
 def w_power(k: int, g: int) -> LinkingForm:
@@ -249,8 +249,9 @@ class Subform:
 
     The restriction of a strictly skew form is automatically a valid
     strictly skew form (possibly singular even when the ambient form is
-    not), so no extra validation is needed beyond building the restricted
-    Gram matrix on the subgroup's invariant-factor generators.
+    not); its numerators on the subgroup's invariant-factor generators g_a
+    are g_a N g_b over the ambient D, which ``_from_numerators`` brings to
+    the restriction's own (possibly smaller) denominator.
     """
 
     def __init__(self, ambient: LinkingForm, subgroup: Subgroup):
@@ -266,10 +267,10 @@ class Subform:
     @cached_property
     def form(self) -> LinkingForm:
         gens = self.subgroup.decomposition_gens
-        gram = [
-            [self.ambient.evaluate(a, b) for b in gens] for a in gens
-        ]
-        return LinkingForm(self.subgroup.standalone(), gram)
+        N = [self.ambient._pairings(a, gens) for a in gens]
+        return LinkingForm._from_numerators(
+            self.subgroup.standalone(), self.ambient.denominator, N
+        )
 
     def embed_element(self, x: GroupElement) -> GroupElement:
         if x.group != self.form.group:
@@ -303,10 +304,7 @@ def orthogonal_complement(form: LinkingForm, sub) -> Subform:
         subgroup = sub
     else:
         subgroup = Subgroup(form.group, list(sub))
-    rows = []
-    for g in subgroup.decomposition_gens:
-        coeffs, D = form.dual_functional_rows(g)
-        rows.append((coeffs, D))
+    rows = [form.dual_functional_rows(g) for g in subgroup.decomposition_gens]
     sol = solve_congruence_system(form.group, rows)
     return Subform(form, sol)
 
@@ -322,14 +320,16 @@ class FormMorphism:
     def __init__(self, source: LinkingForm, target: LinkingForm, images):
         images = list(images)
         hom = GroupHom(source.group, target.group, images)  # validates orders
-        for i in range(source.group.rank):
-            for j in range(i, source.group.rank):
-                got = target.evaluate(images[i], images[j])
-                want = source.gram[i][j]
-                if got != want:
+        # Both forms are strictly skew, so the diagonal (0 = 0) and the lower
+        # triangle (by skewness) follow from the entries above the diagonal.
+        Ds, Dt = source.denominator, target.denominator
+        for i, row in enumerate(source.numerators):
+            got = target._pairings(images[i], images[i + 1:])
+            for j, (g, want) in enumerate(zip(got, row[i + 1:]), i + 1):
+                if (g * Ds - want * Dt) % (Ds * Dt):
                     raise InputError(
                         f"images do not preserve the pairing at ({i}, {j}): "
-                        f"{got} != {want}"
+                        f"{QZValue(g, Dt)} != {QZValue(want, Ds)}"
                     )
         self.source = source
         self.target = target
@@ -552,16 +552,14 @@ def _retraction(f: FormMorphism) -> GroupHom:
     the identity through f."""
     M = f.target
     k = f.block_k
-    x, y = f.x, f.y
-    wgroup = f.source.group
-    images = []
-    for i in range(M.group.rank):
-        e = M.group.generator(i)
-        t1 = M.evaluate(e, y).numerator_over(k)
-        t2 = M.evaluate(x, e).numerator_over(k)
-        images.append(wgroup.element((t1, t2)))
-    retraction = GroupHom(M.group, wgroup, images)
-    if retraction(x).coeffs != (1, 0) or retraction(y).coeffs != (0, 1):
+    # b(e_i, y) = -(y N)_i / D and b(x, e_i) = (x N)_i / D lie in <1/k>.
+    cy, D = M.dual_functional_rows(f.y)
+    cx, _ = M.dual_functional_rows(f.x)
+    if any(c * k % D for c in cx + cy):
+        raise InvariantError("pairings with block generators must lie in <1/k>")
+    images = [f.source.group.element((-a * k // D, b * k // D)) for a, b in zip(cy, cx)]
+    retraction = GroupHom(M.group, f.source.group, images)
+    if retraction(f.x).coeffs != (1, 0) or retraction(f.y).coeffs != (0, 1):
         raise InvariantError("retraction must restrict to the identity through f")
     return retraction
 
@@ -569,10 +567,14 @@ def _retraction(f: FormMorphism) -> GroupHom:
 def split_along(f: FormMorphism) -> SplitResult:
     """Split M = f(W_k) (+) f(W_k)^perp off a morphism f : W_k -> M.
 
-    The retraction sends z to (t1, t2) where b(z, y) = t1/k and
+    The retraction r sends z to (t1, t2) where b(z, y) = t1/k and
     b(x, z) = t2/k; it restricts to the identity on the image (through f)
     and its kernel is exactly the orthogonal complement.  This works for
     arbitrary M, singular or not, because W_k itself is nonsingular.
+    The intersection of image and complement is certified trivial by the
+    complement generators lying in ker r: then z = f(w) in both gives
+    w = r(f(w)) = r(z) = 0.  The same test rejects a complement that is
+    not orthogonal to the image, since ker r is exactly its complement.
     """
     M = f.target
     retraction = _retraction(f)
@@ -580,7 +582,7 @@ def split_along(f: FormMorphism) -> SplitResult:
     complement = orthogonal_complement(M, image.subgroup)
     if image.order * complement.order != M.group.order:
         raise InvariantError("image and complement orders must multiply to |M|")
-    if image.subgroup.intersection(complement.subgroup).order != 1:
+    if not all(retraction(z).is_zero() for z in complement.subgroup.decomposition_gens):
         raise InvariantError("image and complement must intersect trivially")
     return SplitResult(image=image, complement=complement, retraction=retraction)
 
@@ -606,7 +608,7 @@ def _crt_split_block(form: LinkingForm, x: GroupElement, y: GroupElement, e: int
         u = pow(m, -1, q)
         xq = x.scale(m)
         yq = y.scale(m * u)
-        if form.evaluate(xq, yq) != QZValue(1, q):
+        if q * form._pairings(xq, [yq])[0] != form.denominator:
             raise InvariantError(f"prime-power part of a W_{e} pair does not pair to 1/{q}")
         out.append((q, xq, yq))
     return out
@@ -721,6 +723,10 @@ def full_subgroup(group: FinAbGroup) -> Subgroup:
 
 def _brute_force_isomorphic(a: LinkingForm, b: LinkingForm) -> bool:
     """Backtracking search for a form isomorphism, largest generators first."""
+    # The values of a form generate the cyclic subgroup of order D of Q/Z,
+    # so isomorphic forms share D and an isomorphism keeps every numerator.
+    if a.denominator != b.denominator:
+        return False
     whole = full_subgroup(a.group)
     gens = whole.decomposition_gens
     orders = whole.invariant_factors
@@ -730,7 +736,7 @@ def _brute_force_isomorphic(a: LinkingForm, b: LinkingForm) -> bool:
     by_order: dict[int, list[GroupElement]] = {}
     for e in b.group.enumerate_elements(cap=10**7):
         by_order.setdefault(e.order, []).append(e)
-    grams = [[a.evaluate(gi, gj) for gj in gens] for gi in gens]
+    grams = [a._pairings(gi, gens) for gi in gens]
 
     chosen: list[GroupElement] = []
 
@@ -741,7 +747,7 @@ def _brute_force_isomorphic(a: LinkingForm, b: LinkingForm) -> bool:
         for cand in by_order.get(orders[i], []):
             ok = True
             for j in range(i):
-                if b.evaluate(chosen[j], cand) != grams[j][i]:
+                if b._pairings(chosen[j], [cand])[0] != grams[j][i]:
                     ok = False
                     break
             if ok:
@@ -784,7 +790,7 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     k = group.orders[0]
     if any(d != k for d in group.orders):
         raise InputError("form is not a standard block power")
-    if form != w_power(k, r // 2) and form.gram != w_power(k, r // 2).gram:
+    if form != w_power(k, r // 2):
         raise InputError("form must be presented as a standard sum of blocks")
     if v.group != group:
         raise InputError("v does not belong to the form's group")
@@ -793,10 +799,9 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     m = math.gcd(k, *v.coeffs)
     vprime = group.element(tuple(c // m for c in v.coeffs))
     # b(w, v') = 1/k has a solution because v' is primitive in a
-    # nonsingular k-torsion form.
-    N = form.numerators
-    D = form.denominator
-    coeffs = [sum(N[i][t] * vprime.coeffs[t] for t in range(r)) % D for i in range(r)]
+    # nonsingular k-torsion form; b(w, v') = -b(v', w) by skewness.
+    c, D = form.dual_functional_rows(vprime)
+    coeffs = [-a % D for a in c]
     w = solve_affine_congruence_system(group, [(coeffs, D)], [D // k])
     if w is None:
         raise SingularFormError("could not complete v' to a block; form is singular")

@@ -51,11 +51,7 @@ DEFAULT_LINK_PAIR_CAP = 250_000
 
 def images_orthogonal(f: FormMorphism, g: FormMorphism) -> bool:
     form = f.target
-    return all(
-        form.evaluate(u, v).is_zero()
-        for u in (f.x, f.y)
-        for v in (g.x, g.y)
-    )
+    return all(form._pairings(u, (g.x, g.y)) == [0, 0] for u in (f.x, f.y))
 
 
 def images_intersect_trivially(f: FormMorphism, g: FormMorphism) -> bool:

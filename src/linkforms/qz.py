@@ -90,16 +90,6 @@ class QZValue:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def numerator_over(self, k: int) -> int:
-        """Write the value as t/k and return t in [0, k).
-
-        Raises InputError when the value does not lie in the cyclic
-        subgroup generated by 1/k, i.e. when its order does not divide k.
-        """
-        if k <= 0 or k % self.den != 0:
-            raise InputError(f"{self} does not lie in <1/{k}>")
-        return self.num * (k // self.den)
-
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -117,6 +107,3 @@ class QZValue:
 
     def __repr__(self) -> str:
         return f"QZValue({self.num}, {self.den})"
-
-
-ZERO = QZValue.zero()

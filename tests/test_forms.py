@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkforms.forms as forms
 from linkforms import (
     FinAbGroup,
     FormMorphism,
     GroupHom,
     InputError,
+    InvariantError,
     LinkingForm,
     NonStrictFormError,
     NormalForm,
@@ -34,6 +37,7 @@ from linkforms import (
     w_power,
 )
 from linkforms.corpus import block_sum, random_scrambled_pair, scramble_form
+from linkforms.forms import Subform
 
 
 def brute_count_w_morphisms(form, k):
@@ -66,20 +70,38 @@ def test_strictly_skew_even_at_two_torsion():
         assert W.evaluate(x, x).is_zero()
 
 
+def from_numerators(group, gram):
+    """The private constructor on the same values, over a non-minimal
+    common denominator (3 times the lcm) with unreduced numerators."""
+    D = 3 * math.lcm(*(v.den for row in gram for v in row))
+    N = [[v.num * (D // v.den) - D for v in row] for row in gram]
+    return LinkingForm._from_numerators(group, D, N)
+
+
+# Each rejection must read the same from both constructors.
+CONSTRUCTORS = (LinkingForm, from_numerators)
+
+
 def test_rejects_nonzero_diagonal():
     G = FinAbGroup.of(2, 2)
     half = QZValue(1, 2)
     gram = [[half, half], [half, QZValue.zero()]]
-    with pytest.raises(NonStrictFormError):
-        LinkingForm(G, gram)
+    for construct in CONSTRUCTORS:
+        with pytest.raises(NonStrictFormError) as exc:
+            construct(G, gram)
+        assert type(exc.value) is NonStrictFormError
+        assert str(exc.value) == "diagonal gram entry b(e_0, e_0) = 1/2 must vanish"
 
 
 def test_rejects_non_skew():
     G = FinAbGroup.of(3, 3)
     z = QZValue.zero()
     gram = [[z, QZValue(1, 3)], [QZValue(1, 3), z]]
-    with pytest.raises(InputError, match="skew"):
-        LinkingForm(G, gram)
+    for construct in CONSTRUCTORS:
+        with pytest.raises(InputError) as exc:
+            construct(G, gram)
+        assert type(exc.value) is InputError
+        assert str(exc.value) == "gram is not skew at (0, 1): 1/3 != -(1/3)"
 
 
 def test_rejects_order_violation():
@@ -87,8 +109,11 @@ def test_rejects_order_violation():
     z = QZValue.zero()
     # b(e_0, e_1) = 1/4 is not killed by the order-2 generator
     gram = [[z, QZValue(1, 4)], [QZValue(3, 4), z]]
-    with pytest.raises(InputError, match="killed"):
-        LinkingForm(G, gram)
+    for construct in CONSTRUCTORS:
+        with pytest.raises(InputError) as exc:
+            construct(G, gram)
+        assert type(exc.value) is InputError
+        assert str(exc.value) == "gram entry b(e_0, e_1) = 1/4 is not killed by generator order 2"
 
 
 def test_direct_sum_evaluation():
@@ -223,6 +248,23 @@ def test_split_mixed_form():
         split = split_along(m)
         assert split.image.order * split.complement.order == 729
         assert normal_form(split.complement.form) == normal_form(standard_w(9))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [((1, 0, 0, 0), (0, 0, 0, 1)), ((1, 0, 1, 0), (0, 0, 0, 1))],
+    ids=["meets-image", "not-orthogonal"],
+)
+def test_split_rejects_a_wrong_complement(monkeypatch, gens):
+    """A complement of the right order that meets the image, or that meets
+    it trivially but is not orthogonal to it, fails the retraction check."""
+    form = w_power(3, 2)
+    f = w_morphism(form, 3, form.group.generator(0), form.group.generator(1))
+    wrong = Subform(form, Subgroup(form.group, [form.group.element(g) for g in gens]))
+    assert wrong.order == 9
+    monkeypatch.setattr(forms, "orthogonal_complement", lambda M, sub: wrong)
+    with pytest.raises(InvariantError, match="intersect trivially"):
+        split_along(f)
 
 
 def test_split_is_orthogonal_decomposition():
@@ -499,3 +541,145 @@ def test_image_key_of_identity_morphism():
     want = frozenset(e.coeffs for e in f.image_subgroup.elements())
     assert f.image_key() == want
     assert len(want) == form.group.order
+
+
+# ---------------------------------------------------------------------------
+# the integer Gram against its QZValue definition
+# ---------------------------------------------------------------------------
+
+
+P = 1048583  # D = 2 * P is past the int64 gate: the exact path
+W9_W3 = direct_sum(standard_w(9), standard_w(3))
+
+
+def random_subform(rng, kind):
+    """A subform of one of the agreement kinds, built from the seed."""
+    if kind == "kernel":
+        M, k = rng.choice([(w_power(3, 2), 3), (W9_W3, 3), (w_power(6, 2), 6), (w_power(4, 2), 2)])
+        C = FinAbGroup.of(k)
+        phi = GroupHom(M.group, C, [
+            C.element((rng.randrange(k) * (k // math.gcd(k, d)),)) for d in M.group.orders
+        ])
+        return kernel_form(M, phi)
+    if kind == "singular":
+        M, _ = scramble_form(block_sum(rng.choice([(3, 9), (2, 4), (6,), (3, 3)])), rng)
+        gens = [
+            M.group.element(tuple(rng.randrange(d) for d in M.group.orders))
+            for _ in range(rng.randint(1, 2))
+        ]
+        return Subform(M, Subgroup(M.group, gens))
+    if kind == "exact":
+        M, _ = scramble_form(w_power(2 * P, 2), rng)
+        return Subform(M, Subgroup(M.group, [M.group.generator(0).scale(P), M.group.generator(1)]))
+    # non-minimal D: 3 M of W_9 (+) W_3 is the zero form (D = 1), and
+    # 3 e_0 with e_1, e_2, e_3 restricts to values in (1/3)Z (D = 3)
+    G = W9_W3.group
+    gens = [g.scale(3) for g in map(G.generator, range(4))]
+    if rng.random() < 0.5:
+        gens = [gens[0]] + [G.generator(i) for i in (1, 2, 3)]
+    return Subform(W9_W3, Subgroup(G, gens))
+
+
+def assert_round_trip(f):
+    g = LinkingForm(f.group, f.gram)
+    assert g == f and hash(g) == hash(f)
+    assert (g.denominator, g.numerators) == (f.denominator, f.numerators)
+    assert f.denominator == math.lcm(*(v.den for row in f.gram for v in row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["scrambled", "kernel", "singular", "exact", "non-minimal"]),
+       st.integers(0, 10**6))
+def test_integer_gram_agrees_with_qz_definition(kind, seed):
+    """The stored (D, N) round-trips through ``gram``, and a subform's
+    numerators are the pairwise ambient ``evaluate`` values on its
+    decomposition generators."""
+    rng = random.Random(seed)
+    if kind == "scrambled":
+        blocks = rng.choice([(3,), (2, 4), (3, 9), (6,), (2, 3, 4)])
+        f, _ = scramble_form(block_sum(blocks), rng)
+        assert_round_trip(f)
+        return
+    sub = random_subform(rng, kind)
+    gens = sub.subgroup.decomposition_gens
+    assert sub.form.gram == tuple(tuple(sub.ambient.evaluate(a, b) for b in gens) for a in gens)
+    assert_round_trip(sub.form)
+    assert_round_trip(sub.ambient)
+    if kind == "non-minimal":
+        assert sub.ambient.denominator == 9 and sub.form.denominator in (1, 3)
+
+
+MORPHISM_CASES = {
+    "W_3 -> W_3^2": (lambda: standard_w(3), lambda: w_power(3, 2), 3),
+    "W_3 -> W_9+W_3": (lambda: standard_w(3), lambda: W9_W3, 3),
+    # the source denominator 9 does not divide the target's 3
+    "W_9 -> W_3^2": (lambda: standard_w(9), lambda: w_power(3, 2), None),
+    "W_2 -> W_2p^2": (lambda: standard_w(2), lambda: w_power(2 * P, 2), 2),
+    "W_3^2 -> W_3^2": (lambda: w_power(3, 2), lambda: w_power(3, 2), None),
+}
+
+
+def torsion_image(rng, d, target):
+    """A random element of the target killed by d."""
+    return target.group.element(tuple(
+        rng.randrange(math.gcd(t, d)) * (t // math.gcd(t, d)) for t in target.group.orders
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MORPHISM_CASES)), st.integers(0, 10**6))
+def test_form_morphism_accepts_exactly_the_pairing_preserving_images(case, seed):
+    rng = random.Random(seed)
+    make_source, make_target, k = MORPHISM_CASES[case]
+    source, target = make_source(), scramble_form(make_target(), rng)[0]
+    orders = source.group.orders
+    if k is not None and rng.random() < 0.6:
+        index = rng.randrange(count_w_morphisms(target, k))
+        images = list(w_morphism_by_index(target, k, index).images)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(images))
+            images[i] = images[i] + torsion_image(rng, orders[i], target)
+    else:
+        images = [torsion_image(rng, d, target) for d in orders]
+    r = len(images)
+    want = all(
+        target.evaluate(images[i], images[j]) == source.gram[i][j]
+        for i in range(r) for j in range(r)
+    )
+    try:
+        FormMorphism(source, target, images)
+        got = True
+    except InputError:
+        got = False
+    assert got == want
+
+
+def test_integer_paths_build_no_qz_values(monkeypatch):
+    """QZValue stays at the API boundary: none is built while ranking,
+    enumerating, building the complex or scrambling."""
+    from linkforms import build_l_complex, k_rank
+
+    built = []
+    init = QZValue.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    W3_W9 = direct_sum(standard_w(3), standard_w(9))
+    C3 = FinAbGroup.of(3)
+    phi = GroupHom(W3_W9.group, C3, [C3.element((c,)) for c in (0, 0, 1, 0)])
+    runs = {
+        # the kernel that takes 82 rank nodes, so the branch search runs
+        "k_rank": lambda: k_rank(kernel_form(W3_W9, phi).form, 3),
+        "morphisms_from_w": lambda: morphisms_from_w(w_power(3, 2), 3),
+        "build_l_complex": lambda: build_l_complex(w_power(3, 2), 3),
+        "scramble_form": lambda: scramble_form(block_sum([3, 9, 4]), random.Random(7)),
+    }
+    monkeypatch.setattr(QZValue, "__init__", counting_init)
+    QZValue(1, 3)
+    assert built == [(1, 3)]  # the counter is live
+    for name, run in runs.items():
+        built.clear()
+        run()
+        assert built == [], name

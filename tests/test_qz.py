@@ -33,14 +33,6 @@ def test_order():
     assert QZValue(2, 9).order == 9
 
 
-def test_numerator_over():
-    assert QZValue(1, 3).numerator_over(3) == 1
-    assert QZValue(1, 3).numerator_over(9) == 3
-    assert QZValue.zero().numerator_over(5) == 0
-    with pytest.raises(InputError):
-        QZValue(1, 3).numerator_over(4)
-
-
 def test_parse():
     assert QZValue.parse("2/6") == QZValue(1, 3)
     assert QZValue.parse("0/1").is_zero()
