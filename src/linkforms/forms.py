@@ -339,9 +339,6 @@ class FormMorphism:
     def __call__(self, x: GroupElement) -> GroupElement:
         return self._hom(x)
 
-    def group_hom(self) -> GroupHom:
-        return self._hom
-
     @cached_property
     def image_subgroup(self) -> Subgroup:
         return Subgroup(self.target.group, self.images)

@@ -183,12 +183,6 @@ class GroupHom:
                 out = out + img.scale(c)
         return out
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner."""
-        if inner.target != self.source:
-            raise InputError("homs do not compose")
-        return GroupHom(inner.source, self.target, [self(img) for img in inner.images])
-
     def kernel(self) -> "Subgroup":
         """Kernel as a subgroup of the source.
 

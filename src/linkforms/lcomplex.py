@@ -2,9 +2,14 @@
 
 Vertices are the morphisms W_k -> M in lexicographic enumeration order;
 a set of vertices spans a simplex when the images are pairwise orthogonal
-(with trivial pairwise intersection, which for these images follows from
-orthogonality and is checked rather than assumed).  The complex is flag,
-so the 1-skeleton determines everything.
+with trivial pairwise intersection.  The complex is flag, so the
+1-skeleton determines everything.
+
+Orthogonality implies the trivial intersection.  A vertex f is a
+FormMorphism, whose construction checked b(f u, f v) = b_W(u, v).  If
+f(W) is orthogonal to g(W) and z = f(w) lies in g(W), then
+b_W(w', w) = b(f w', z) = 0 for every w', so w lies in the radical of
+the nonsingular W_k, which is 0; hence z = 0.
 
 Small complexes are materialized as a FlagComplex; above the vertex cap
 the complex stays lazy and queries are served by generating morphisms
@@ -37,7 +42,6 @@ from .forms import (
     morphisms_from_w,
     orthogonal_complement,
     standard_w,
-    w_morphism,
     w_morphism_by_index,
 )
 from .groups import Subgroup
@@ -63,15 +67,23 @@ def images_intersect_trivially(f: FormMorphism, g: FormMorphism) -> bool:
 def are_adjacent(f: FormMorphism, g: FormMorphism) -> bool:
     """Edge relation: orthogonal images with trivial intersection.
 
-    Trivial intersection is implied by orthogonality here (the images are
-    nonsingular, so a shared element would lie in a radical), but it is
-    part of the definition and is checked, not assumed.
+    The intersection follows from orthogonality (module docstring); this
+    one-pair test, the lazy path's definition of an edge, still checks it.
     """
     if not images_orthogonal(f, g):
         return False
     if not images_intersect_trivially(f, g):
         raise InvariantError("orthogonal nonsingular images must intersect trivially")
     return True
+
+
+def _orthogonality(form: LinkingForm, k: int, morphs) -> np.ndarray:
+    """Pairwise orthogonality of the images of ``morphs``, morphisms
+    W_k -> form: the edge relation off the diagonal (module docstring)."""
+    _, N = form._w_rows(k)
+    X = np.array([m.x.coeffs for m in morphs], dtype=N.dtype)
+    Y = np.array([m.y.coeffs for m in morphs], dtype=N.dtype)
+    return _kernels.orth_adjacency(X, Y, N, form.denominator)
 
 
 def w_power_vertex_count(k: int, g: int) -> int:
@@ -160,9 +172,10 @@ def build_l_complex(
 ) -> LComplex:
     """Build the complex, materializing the 1-skeleton when it fits.
 
-    Beyond ``materialize_cap`` vertices the complex is returned lazy
-    unless materialization is forced, in which case the cap is enforced
-    with CapExceeded.
+    Edges are the orthogonal pairs (module docstring).  Beyond
+    ``materialize_cap`` vertices the complex is returned lazy unless
+    materialization is forced, in which case the cap is enforced with
+    CapExceeded.
     """
     count = count_w_morphisms(form, k)
     if count > materialize_cap:
@@ -179,21 +192,11 @@ def build_l_complex(
         return LComplex(
             form, k, morphisms=[], flag=FlagComplex([], np.zeros((0, 0), dtype=bool))
         )
-    _, N = form._w_rows(k)
-    X = np.array([m.x.coeffs for m in morphs], dtype=N.dtype)
-    Y = np.array([m.y.coeffs for m in morphs], dtype=N.dtype)
-    adj = _kernels.orth_adjacency(X, Y, N, form.denominator)
+    adj = _orthogonality(form, k, morphs)
     np.fill_diagonal(adj, False)
-    edges = np.argwhere(np.triu(adj, 1))
-    if len(edges) > edge_cap:
-        raise CapExceeded(
-            f"{len(edges)} edges exceed the edge cap", needed=len(edges), cap=edge_cap
-        )
-    for i, j in edges:
-        if not images_intersect_trivially(morphs[i], morphs[j]):
-            raise InvariantError(
-                "orthogonal images with nontrivial intersection encountered"
-            )
+    edges = int(np.count_nonzero(adj)) // 2  # adj is symmetric
+    if edges > edge_cap:
+        raise CapExceeded(f"{edges} edges exceed the edge cap", needed=edges, cap=edge_cap)
     flag = FlagComplex(tuple(range(n)), adj)
     return LComplex(form, k, morphisms=morphs, flag=flag)
 
@@ -217,27 +220,22 @@ def _orthogonal_rows(X, N, D, images) -> np.ndarray:
 
 def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
     """Keys of all vertices adjacent to every morphism in ``morphs``,
-    computed from the ambient adjacency definition (orthogonality plus
-    intersection check), independently of the complement construction."""
+    computed in the ambient form independently of the complement
+    construction: the pairs (x, y) with b(x, y) = 1/k of k-torsion rows
+    orthogonal to every image (the edge relation, module docstring).  Each
+    such pair is a morphism W_k -> M, so its key is read off the rows."""
     form, k = L.form, L.k
     D = form.denominator
     if D % k != 0:  # no element pairs to 1/k, so the complex is empty
         return set()
     X, N = form._w_rows(k)
     images = [img.coeffs for m in morphs for img in (m.x, m.y)]
-    rows = np.nonzero(_orthogonal_rows(X, N, D, images))[0]
-    Xsub = X[rows]
+    Xsub = X[_orthogonal_rows(X, N, D, images)]
     pairs, total = _kernels.pairs_hitting(Xsub, N, D, D // k, DEFAULT_LINK_PAIR_CAP)
     if total > len(pairs):
         raise CapExceeded("link candidate enumeration exceeded cap", needed=total)
-    keys = set()
-    for i, j in pairs:
-        x = form.group.element(tuple(Xsub[i].tolist()))
-        y = form.group.element(tuple(Xsub[j].tolist()))
-        cand = w_morphism(form, k, x, y)
-        if all(images_intersect_trivially(cand, m) for m in morphs):
-            keys.add(cand.key())
-    return keys
+    rows = [tuple(row) for row in Xsub.tolist()]
+    return {(rows[i], rows[j]) for i, j in pairs.tolist()}
 
 
 def verify_link_iso(L: LComplex, sigma, pair_cap: int = 200_000) -> bool:
@@ -245,8 +243,10 @@ def verify_link_iso(L: LComplex, sigma, pair_cap: int = 200_000) -> bool:
     orthogonal complement of its images.
 
     Vertex sets are compared on the nose (a complement morphism embeds to
-    an ambient morphism orthogonal to sigma), then adjacency is compared
-    pairwise inside the link through the same bijection.
+    an ambient morphism orthogonal to sigma), then the edge relations are
+    compared through the same bijection: the orthogonality matrix of the
+    embedded morphisms in the ambient form against that of the complement
+    morphisms in the complement form.
     """
     morphs = [L.vertex(s) for s in sigma]
     for a, b in itertools.combinations(morphs, 2):
@@ -259,25 +259,19 @@ def verify_link_iso(L: LComplex, sigma, pair_cap: int = 200_000) -> bool:
     else:
         compl = Subform(form, full_subgroup(form.group))
     inner = morphisms_from_w(compl.form, k, cap=pair_cap)
-    embedded = {compl.embed_morphism(m).key(): m for m in inner}
-    ambient = _ambient_link_keys(L, morphs)
-    if set(embedded) != ambient:
+    embedded = [compl.embed_morphism(m) for m in inner]
+    if {e.key() for e in embedded} != _ambient_link_keys(L, morphs):
         return False
-    # Edge agreement through the bijection.
-    items = sorted(embedded.items())
-    n = len(items)
+    n = len(inner)
     if n * (n - 1) // 2 > pair_cap:
         raise CapExceeded(
             "too many link pairs for exact edge comparison",
             needed=n * (n - 1) // 2,
             cap=pair_cap,
         )
-    for (ka, ma), (kb, mb) in itertools.combinations(items, 2):
-        amb_a = w_morphism(form, k, form.group.element(ka[0]), form.group.element(ka[1]))
-        amb_b = w_morphism(form, k, form.group.element(kb[0]), form.group.element(kb[1]))
-        if are_adjacent(amb_a, amb_b) != are_adjacent(ma, mb):
-            return False
-    return True
+    return n == 0 or np.array_equal(
+        _orthogonality(form, k, embedded), _orthogonality(compl.form, k, inner)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from linkforms import (
 )
 from linkforms._kernels import fits_int64
 from linkforms.corpus import scramble_form
-from linkforms.lcomplex import _orthogonal_rows
+from linkforms import lcomplex
+from linkforms.lcomplex import _ambient_link_keys, _orthogonal_rows
 
 
 def w_power(k, g):
@@ -119,6 +120,27 @@ def test_adjacency_predicates(L2):
     k = int(np.nonzero(~L2.flag.adj[i])[0][1])
     if k != i:
         assert not are_adjacent(a, L2.vertex(k))
+
+
+LEMMA_CASES = {
+    "W_3^2 k=3": lambda: (w_power(3, 2), 3),
+    "W_6^2 k=2": lambda: (w_power(6, 2), 2),
+    "W_6^2 k=3": lambda: (w_power(6, 2), 3),
+    "scrambled W_3^2 k=3": lambda: (scramble_form(w_power(3, 2), random.Random(3))[0], 3),
+    "W_{2p}^2 k=2": lambda: (w_power(2 * 1048583, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", LEMMA_CASES)
+def test_orthogonal_edges_intersect_trivially(case):
+    """The lemma behind the edges of build_l_complex, against the SNF
+    oracle: orthogonal images of two W_k blocks meet only in 0."""
+    form, k = LEMMA_CASES[case]()
+    L = build_l_complex(form, k)
+    edges = np.argwhere(np.triu(L.flag.adj, 1))
+    assert len(edges) > 0
+    for i, j in edges:
+        assert images_intersect_trivially(L.vertex(int(i)), L.vertex(int(j)))
 
 
 def test_vertex_index_round_trip(L2):
@@ -222,6 +244,52 @@ def test_link_iso_vertices(L2):
 def test_link_iso_edge(L2):
     i, j = map(int, np.argwhere(np.triu(L2.flag.adj, 1))[0])
     assert verify_link_iso(L2, [i, j])  # empty link on both sides
+
+
+@pytest.fixture(scope="module")
+def L2cube():
+    return build_l_complex(w_power(2, 3), 2)
+
+
+def test_link_iso_vertex_links_with_edges(L2cube):
+    """Each vertex link of W_2^3 at k = 2 is the W_2^2 complex, which has
+    edges, so the edge comparison runs on a nonempty relation."""
+    L = L2cube
+    assert L.materialized and L.vertex_count == 2016
+    for i in random.Random(13).sample(range(L.vertex_count), 3):
+        link = np.nonzero(L.flag.adj[i])[0]
+        assert len(link) == 120
+        assert L.flag.adj[np.ix_(link, link)].sum() == 2 * 360
+        assert verify_link_iso(L, [i])
+
+
+def test_link_iso_lazy_outside_int64_gate():
+    """The same links on W_{2p}^3 at k = 2, p = 1048583, lazily and on
+    Python-int arrays."""
+    form = w_power(2 * 1048583, 3)
+    assert form._np_numerators is None
+    L = build_l_complex(form, 2, materialize_cap=100)
+    assert not L.materialized and L.vertex_count == 2016
+    for i in random.Random(13).sample(range(L.vertex_count), 2):
+        assert len(_ambient_link_keys(L, [L.vertex(i)])) == 120
+        assert verify_link_iso(L, [i])
+
+
+def test_link_iso_detects_edge_mismatch(L2cube, monkeypatch):
+    """A link whose complement side has one edge too many is refused."""
+    i = 0
+    assert verify_link_iso(L2cube, [i])
+    true_orthogonality = lcomplex._orthogonality
+
+    def patched(form, k, morphs):
+        out = true_orthogonality(form, k, morphs)
+        if form is not L2cube.form:  # the complement side
+            j = int(np.nonzero(~out[0])[0][1])
+            out[0, j] = out[j, 0] = True
+        return out
+
+    monkeypatch.setattr(lcomplex, "_orthogonality", patched)
+    assert not verify_link_iso(L2cube, [i])
 
 
 def test_link_iso_rejects_non_simplex(L2):
