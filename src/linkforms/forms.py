@@ -568,7 +568,10 @@ def split_along(f: FormMorphism) -> SplitResult:
     b(x, z) = t2/k; it restricts to the identity on the image (through f)
     and its kernel is exactly the orthogonal complement.  This works for
     arbitrary M, singular or not, because W_k itself is nonsingular.
-    The intersection of image and complement is certified trivial by the
+    The orders of image and complement must multiply to |M|; each is the
+    product of its invariant factors, read off the decompositions that the
+    complement's congruence rows and the retraction test below use anyway,
+    so the check runs no elimination of its own.  The intersection of image and complement is certified trivial by the
     complement generators lying in ker r: then z = f(w) in both gives
     w = r(f(w)) = r(z) = 0.  The same test rejects a complement that is
     not orthogonal to the image, since ker r is exactly its complement.
@@ -577,7 +580,8 @@ def split_along(f: FormMorphism) -> SplitResult:
     retraction = _retraction(f)
     image = f.image_subform
     complement = orthogonal_complement(M, image.subgroup)
-    if image.order * complement.order != M.group.order:
+    orders = image.subgroup.invariant_factors + complement.subgroup.invariant_factors
+    if math.prod(orders) != M.group.order:
         raise InvariantError("image and complement orders must multiply to |M|")
     if not all(retraction(z).is_zero() for z in complement.subgroup.decomposition_gens):
         raise InvariantError("image and complement must intersect trivially")

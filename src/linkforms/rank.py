@@ -27,6 +27,24 @@ Two sound upper bounds certify most instances without branching:
 A greedy descent (always take the lexicographically first morphism and
 recurse into its complement) provides the matching lower bound; when the
 two meet, the value is certified with no enumeration at all.
+
+One ``k_rank`` call handles each distinct form once.  Its search state
+keeps a table from each form met, compared exactly on (group, D, N) as
+``LinkingForm.__eq__`` does, to the work done on it: the greedy chain,
+the classification key (None when singular), the distinct-image branches
+and the split complement of each morphism taken from it, each filled on
+first use.  The greedy chain's first morphism is branch 0, so the two
+share one split.  All of these are functions of (group, D, N) alone: the
+pair scan, ``first_w_morphism``, ``is_nonsingular``, ``normal_form`` and
+``split_along`` read nothing else of a form, so equal forms give equal
+answers and a lookup returns what recomputing would.  The search itself
+does not change: every visit still ticks once and takes its steps in the
+same order (bounds, greedy chain, memo, branches with the early exit),
+the memo is still keyed by classification and filled for nonsingular
+forms only, so the node count, the memo, the point where a budget runs
+out, the branch order and the witnesses are those of recomputing.  The
+table lives only as long as its ``k_rank`` call; repeated calls on one
+form repeat the work.
 """
 
 from __future__ import annotations
@@ -83,26 +101,74 @@ class RankResult:
     bound: int
 
 
+_UNKNOWN = object()
+
+
+@dataclass(slots=True)
+class _Node:
+    """What the search needs of one form, each part filled on first use:
+    its greedy chain, its classification key (None when singular), its
+    distinct-image branches, and the split complement of each morphism
+    taken from it, keyed by ``FormMorphism.key``."""
+
+    form: LinkingForm
+    greedy: list[FormMorphism] | None = None
+    key: object = _UNKNOWN
+    branches: list[FormMorphism] | None = None
+    complements: dict[tuple, Subform] = field(default_factory=dict)
+
+
 @dataclass
 class _SearchState:
+    k: int
     budget: int
     nodes: int = 0
     memo: dict = field(default_factory=dict)
+    table: dict[LinkingForm, _Node] = field(default_factory=dict)
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExhausted(f"rank search exceeded {self.budget} nodes")
 
+    def node(self, form: LinkingForm) -> _Node:
+        node = self.table.get(form)
+        if node is None:
+            node = self.table[form] = _Node(form)
+        return node
 
-def _greedy_chain(form: LinkingForm, k: int) -> list[FormMorphism]:
+    def complement(self, node: _Node, f: FormMorphism) -> Subform:
+        """The complement of f(W_k) in ``node.form``; f maps into it."""
+        comp = node.complements.get(f.key())
+        if comp is None:
+            comp = node.complements[f.key()] = split_along(f).complement
+        return comp
+
+    def normal_form_key(self, node: _Node):
+        if node.key is _UNKNOWN:
+            form = node.form
+            node.key = normal_form(form).summands if form.is_nonsingular() else None
+        return node.key
+
+    def branches(self, node: _Node) -> list[FormMorphism]:
+        if node.branches is None:
+            node.branches = _distinct_image_branches(
+                node.form, self.k, cap=max(10_000, self.budget)
+            )
+        return node.branches
+
+
+def _greedy_chain(node: _Node, state: _SearchState) -> list[FormMorphism]:
     """Descend complements taking the first morphism each time."""
-    f = first_w_morphism(form, k)
-    if f is None:
-        return []
-    comp = split_along(f).complement
-    rest = _greedy_chain(comp.form, k)
-    return [f] + [comp.embed_morphism(g) for g in rest]
+    if node.greedy is None:
+        f = first_w_morphism(node.form, state.k)
+        if f is None:
+            node.greedy = []
+        else:
+            comp = state.complement(node, f)
+            rest = _greedy_chain(state.node(comp.form), state)
+            node.greedy = [f] + [comp.embed_morphism(g) for g in rest]
+    return node.greedy
 
 
 def _distinct_image_branches(form: LinkingForm, k: int, cap: int):
@@ -132,22 +198,20 @@ def _distinct_image_branches(form: LinkingForm, k: int, cap: int):
     return out
 
 
-def _value(form: LinkingForm, k: int, state: _SearchState) -> int:
+def _value(node: _Node, state: _SearchState) -> int:
     state.tick()
-    ub = upper_bound(form, k)
+    k = state.k
+    ub = upper_bound(node.form, k)
     if ub == 0:
         return 0
-    lb = len(_greedy_chain(form, k))
+    lb = len(_greedy_chain(node, state))
     if lb == ub:
         return lb
-    nonsingular = form.is_nonsingular()
-    key = None
-    if nonsingular:
-        key = normal_form(form).summands
-        if key in state.memo:
-            return state.memo[key]
+    key = state.normal_form_key(node)
+    if key is not None and key in state.memo:
+        return state.memo[key]
     try:
-        branches = _distinct_image_branches(form, k, cap=max(10_000, state.budget))
+        branches = state.branches(node)
     except CapExceeded as exc:
         raise BudgetExhausted(
             f"too many morphisms to branch over ({exc.needed})", partial=lb
@@ -156,10 +220,10 @@ def _value(form: LinkingForm, k: int, state: _SearchState) -> int:
     for f in branches:
         if best == ub:
             break
-        comp = split_along(f).complement
+        comp = state.complement(node, f)
         if 1 + upper_bound(comp.form, k) <= best:
             continue
-        val = 1 + _value(comp.form, k, state)
+        val = 1 + _value(state.node(comp.form), state)
         if val > best:
             best = val
     if key is not None:
@@ -167,20 +231,21 @@ def _value(form: LinkingForm, k: int, state: _SearchState) -> int:
     return best
 
 
-def _witness(form: LinkingForm, k: int, target: int, state: _SearchState) -> list[FormMorphism]:
+def _witness(node: _Node, target: int, state: _SearchState) -> list[FormMorphism]:
     """Rebuild an optimal chain once the value is known (memo makes the
     lookups cheap)."""
     if target == 0:
         return []
-    greedy = _greedy_chain(form, k)
+    greedy = _greedy_chain(node, state)
     if len(greedy) >= target:
         return greedy[:target]
-    for f in _distinct_image_branches(form, k, cap=max(10_000, state.budget)):
-        comp = split_along(f).complement
-        if 1 + upper_bound(comp.form, k) < target:
+    for f in state.branches(node):
+        comp = state.complement(node, f)
+        if 1 + upper_bound(comp.form, state.k) < target:
             continue
-        if 1 + _value(comp.form, k, state) == target:
-            rest = _witness(comp.form, k, target - 1, state)
+        child = state.node(comp.form)
+        if 1 + _value(child, state) == target:
+            rest = _witness(child, target - 1, state)
             return [f] + [comp.embed_morphism(g) for g in rest]
     raise InvariantError("witness reconstruction failed below the computed value")
 
@@ -190,21 +255,26 @@ def k_rank(form: LinkingForm, k: int, budget: int = 200_000) -> RankResult:
 
     Certified results come from bounds meeting or from exhausting the
     branch tree; budget exhaustion downgrades to an uncertified lower
-    bound carrying the best witness found.  Raises InputError for k < 2,
-    where no block W_k exists (and the size bound would never stop).
+    bound carrying the best witness found; ``budget = 0`` visits no
+    branch node, so only the bounds meeting the greedy chain certify.
+    Raises InputError for k < 2, where no block W_k exists (and the size
+    bound would never stop), and for a negative budget.
     """
     if k < 2:
         raise InputError("k must be >= 2")
-    state = _SearchState(budget=budget)
+    if budget < 0:
+        raise InputError(f"budget = {budget} must be >= 0")
+    state = _SearchState(k=k, budget=budget)
+    root = state.node(form)
     ub = upper_bound(form, k)
-    greedy = _greedy_chain(form, k)
+    greedy = _greedy_chain(root, state)
     if len(greedy) == ub:
         return RankResult(
             value=ub, certified=True, witness=greedy, nodes=state.nodes, bound=ub
         )
     try:
-        value = _value(form, k, state)
-        witness = _witness(form, k, value, state)
+        value = _value(root, state)
+        witness = _witness(root, value, state)
         return RankResult(
             value=value, certified=True, witness=witness, nodes=state.nodes, bound=ub
         )
@@ -234,7 +304,8 @@ def stable_k_rank(form: LinkingForm, k: int, g_max: int, budget: int = 200_000) 
     with the fresh block's inclusion), and bounded above by
     upper_bound(form, k) for every g; the result is certified exactly when
     the achieving computation is certified and the value meets that bound,
-    since no larger g could then improve it.
+    since no larger g could then improve it.  A negative budget raises
+    InputError from the first ``k_rank`` call.
     """
     if k < 2:
         raise InputError("k must be >= 2")

@@ -146,6 +146,13 @@ def test_rank_uncertified_without_flag_is_ok(files, capsys):
     assert report["data"]["certified"] is False
 
 
+@pytest.mark.parametrize("extra", [[], ["--stable"]])
+def test_rank_negative_budget_exits_2(files, capsys, extra):
+    code, report = run_json(capsys, "rank", files["mixed"], "3", "--budget", "-5", *extra)
+    assert code == 2
+    assert report["data"]["kind"] == "InputError"
+
+
 # ---------------------------------------------------------------------------
 # complex
 # ---------------------------------------------------------------------------

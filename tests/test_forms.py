@@ -267,6 +267,18 @@ def test_split_rejects_a_wrong_complement(monkeypatch, gens):
         split_along(f)
 
 
+def test_split_rejects_a_complement_of_the_wrong_order(monkeypatch):
+    """A complement orthogonal to the image but too small to fill M fails
+    the order check, which reads both orders off the invariant factors."""
+    form = w_power(3, 2)
+    f = w_morphism(form, 3, form.group.generator(0), form.group.generator(1))
+    small = Subform(form, Subgroup(form.group, [form.group.generator(2)]))
+    assert small.subgroup.invariant_factors == (3,)
+    monkeypatch.setattr(forms, "orthogonal_complement", lambda M, sub: small)
+    with pytest.raises(InvariantError, match="orders must multiply"):
+        split_along(f)
+
+
 def test_split_is_orthogonal_decomposition():
     form = w_power(3, 2)
     f = first_w_morphism(form, 3)

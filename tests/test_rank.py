@@ -16,6 +16,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkforms.rank as rank
 from linkforms import (
     FinAbGroup,
     GroupHom,
@@ -190,6 +191,20 @@ def test_stable_rank_rejects_negative_g_max():
         stable_k_rank(standard_w(3), 3, g_max=-1)
 
 
+def test_rank_rejects_negative_budget():
+    form = direct_sum(standard_w(3), standard_w(9))
+    with pytest.raises(InputError, match="budget"):
+        k_rank(form, 3, budget=-5)
+    res = k_rank(form, 3, budget=0)  # bounds and greedy chain only
+    assert (res.value, res.certified, res.nodes) == (1, False, 1)
+
+
+def test_stable_rank_rejects_negative_budget():
+    with pytest.raises(InputError, match="budget"):
+        stable_k_rank(standard_w(3), 3, g_max=1, budget=-1)
+    assert stable_k_rank(standard_w(3), 3, g_max=1, budget=0).certified
+
+
 # ---------------------------------------------------------------------------
 # distinct-image branches
 # ---------------------------------------------------------------------------
@@ -275,3 +290,41 @@ def test_rank_of_kernels_is_frozen():
     assert rank_digest() == (
         "dc49ffe761cd499e8272ed859076b4cb2c26ea2dcd84d4ba55fdb19af8d41fba"
     )
+
+
+# ---------------------------------------------------------------------------
+# work per search
+# ---------------------------------------------------------------------------
+
+
+def searched_kernel():
+    """The kernel of W_3 (+) W_9 -> Z/3 by (0, 0, 1, 0): a singular form
+    of rank 1 below its upper bound 2, whose 81 branch complements are all
+    one form as presented."""
+    return kernel_of(W3_W9, 3, (0, 0, 1, 0))
+
+
+def test_search_handles_each_distinct_form_once(monkeypatch):
+    """The root and its one distinct complement are enumerated once each;
+    only the 81 branch splits remain, the greedy chain's first split being
+    branch 0's (recomputing per node makes 82, 87 and 84 calls)."""
+    calls = dict.fromkeys(["_distinct_image_branches", "first_w_morphism", "split_along"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(rank, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(rank, name, counted)
+    res = k_rank(searched_kernel(), 3)
+    assert (res.value, res.certified, res.nodes) == (1, True, 82)
+    assert calls == {"_distinct_image_branches": 2, "first_w_morphism": 2, "split_along": 81}
+
+
+@pytest.mark.parametrize(
+    "budget,expected",
+    [(80, (1, False, 81)), (81, (1, False, 82)), (82, (1, True, 82))],
+)
+def test_budget_runs_out_where_it_did(budget, expected):
+    """(value, certified, nodes) at the edge of the budget, as the search
+    that recomputed every node gave them."""
+    res = k_rank(searched_kernel(), 3, budget=budget)
+    assert (res.value, res.certified, res.nodes) == expected
