@@ -78,7 +78,7 @@ def _from_presentation(n_gens: int, relation_columns: list[list[int]]) -> AbGrou
     if not relation_columns:
         return AbGroupDescriptor.free(n_gens)
     matrix = [[col[i] for col in relation_columns] for i in range(n_gens)]
-    diag, _, _ = _eliminate(matrix, False)
+    diag, _, _ = _eliminate(matrix)
     torsion = tuple(d for d in diag if d > 1)
     return AbGroupDescriptor(free_rank=n_gens - sum(1 for d in diag if d), torsion=torsion)
 

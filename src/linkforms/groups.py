@@ -8,23 +8,29 @@ its generators' coefficient vectors together with diag(d), and all
 structural questions (order, membership, invariant factors) reduce to
 Smith normal form over Z.
 
-Each subgroup eliminates its lattice once: membership, basis coordinates
-and the invariant-factor presentation all read the one cached SNF (the
-presentation adds a second, r x r, elimination of the relation matrix).
-The order alone comes from the diagonal-only ``column_lattice_index``, so
-subgroups that are only counted never pay for transforms.
+Each subgroup eliminates its lattice once and keeps the diagonal and the
+``left`` transform only: membership, basis coordinates and the relation
+matrix of the invariant-factor presentation read nothing else.  The
+presentation adds a full r x r SNF of that relation matrix, whose ``left``
+gives standalone coordinates and whose ``right`` gives the generators.
+Intersections and congruence systems read the ``right`` transform alone,
+through ``integer_kernel_basis``.  The order alone comes from the
+diagonal-only ``column_lattice_index``, so subgroups that are only counted
+never pay for transforms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceeded, InputError, InvariantError
 from .snf import (
     Matrix,
+    _eliminate,
     integer_kernel_basis,
     column_lattice_index,
     smith_normal_form,
@@ -113,10 +119,10 @@ class GroupElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.group.rank:
+        orders = self.group.orders
+        if len(self.coeffs) != len(orders):
             raise InputError("coefficient count does not match group rank")
-        reduced = tuple(c % d for c, d in zip(self.coeffs, self.group.orders))
-        object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "coeffs", tuple(map(operator.mod, self.coeffs, orders)))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check_same_group(other)
@@ -177,11 +183,7 @@ class GroupHom:
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
             raise InputError("element not in the source group")
-        out = self.target.zero()
-        for c, img in zip(x.coeffs, self.images):
-            if c:
-                out = out + img.scale(c)
-        return out
+        return _combine(self.target, x.coeffs, self.images)
 
     def kernel(self) -> "Subgroup":
         """Kernel as a subgroup of the source.
@@ -263,17 +265,19 @@ class Subgroup:
 
     @cached_property
     def _snf(self):
-        """left @ lattice @ right = [diag(s) | 0], every s_i >= 1."""
-        return smith_normal_form(self._lattice)
+        """(s, left) with left @ lattice @ right = [diag(s) | 0] for some
+        unimodular right, which is not accumulated; every s_i >= 1."""
+        diag, left, _ = _eliminate(self._lattice, want_left=True)
+        return diag, left
 
     def _basis_coords(self, x: GroupElement) -> list[int] | None:
         """Coordinates a of x in the lattice basis left^-1 diag(s), i.e.
         a = diag(s)^-1 left x, or None when x is not in the subgroup."""
         if x.group != self.group:
             return None
-        res = self._snf
+        diag, left = self._snf
         a = []
-        for row, s in zip(res.left, res.diag):
+        for row, s in zip(left, diag):
             q, rem = divmod(sum(u * c for u, c in zip(row, x.coeffs)), s)
             if rem:
                 return None
@@ -302,9 +306,9 @@ class Subgroup:
         if r == 0:
             return (), [], []
         d = self.group.orders
-        res = self._snf
+        diag, left = self._snf
         M = []
-        for row, s in zip(res.left, res.diag):
+        for row, s in zip(left, diag):
             q_row = []
             for u, dj in zip(row, d):
                 q, rem = divmod(u * dj, s)
@@ -352,11 +356,7 @@ class Subgroup:
         w = tuple(w)
         if len(w) != len(orders):
             raise InputError("coordinate count does not match subgroup presentation")
-        out = self.group.zero()
-        for c, g in zip(w, gens):
-            if c:
-                out = out + g.scale(c)
-        return out
+        return _combine(self.group, w, gens)
 
     def elements(self, cap: int = ENUMERATION_CAP):
         """All subgroup elements (lexicographic in standalone coordinates)."""
@@ -389,11 +389,12 @@ class Subgroup:
         C1, C2 = self._lattice, other._lattice
         n = len(self.generators)
         stacked = [C1[i] + [-v for v in C2[i]] for i in range(r)]
+        gen_rows = [row[:n] for row in C1]
         gens = []
         for vec in integer_kernel_basis(stacked):
             a = vec[:n]
-            coeffs = [sum(C1[i][t] * a[t] for t in range(n)) for i in range(r)]
-            g = GroupElement(self.group, tuple(coeffs))
+            coeffs = tuple(sum(map(operator.mul, row, a)) for row in gen_rows)
+            g = GroupElement(self.group, coeffs)
             if not g.is_zero():
                 gens.append(g)
         return Subgroup(self.group, gens)
@@ -403,6 +404,15 @@ class Subgroup:
 
     def __contains__(self, x: GroupElement) -> bool:
         return self.contains(x)
+
+
+def _combine(group: FinAbGroup, coeffs, elements) -> GroupElement:
+    """sum_i c_i * elements[i] in ``group``: one integer list, reduced once."""
+    out = [0] * group.rank
+    for c, e in zip(coeffs, elements):
+        if c:
+            out = [a + c * b for a, b in zip(out, e.coeffs)]
+    return GroupElement(group, tuple(out))
 
 
 def _stack_congruences(group: FinAbGroup, rows) -> Matrix:

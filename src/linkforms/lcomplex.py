@@ -289,7 +289,9 @@ class PathResult:
         return self.status == "ok"
 
 
-def _select_f0(L: LComplex, scan: int, budget: int) -> tuple[FormMorphism, dict]:
+def _select_f0(L: LComplex, scan: int, budget: int) -> tuple[FormMorphism, dict, Subform]:
+    """The hub, its selection stats and its orthogonal complement, cached
+    on ``L`` so that later queries reuse the complement's lattice work."""
     if L._f0_cache is not None:
         return L._f0_cache
     scanned = 0
@@ -309,7 +311,7 @@ def _select_f0(L: LComplex, scan: int, budget: int) -> tuple[FormMorphism, dict]
                 "f0_certified": r.certified,
                 "scanned": scanned,
             }
-            L._f0_cache = (cand, stats)
+            L._f0_cache = (cand, stats, comp)
             return L._f0_cache
         if not r.certified:
             any_uncertified = True
@@ -344,7 +346,7 @@ def find_short_path(
     if are_adjacent(f, g):
         return PathResult("ok", [f, g], {"shortcut": "adjacent"})
     try:
-        f0, stats = _select_f0(L, f0_scan, rank_budget)
+        f0, stats, comp_f0 = _select_f0(L, f0_scan, rank_budget)
     except _NoF0 as exc:
         return PathResult(
             "no-f0",
@@ -354,7 +356,6 @@ def find_short_path(
                 "reason": "budget" if exc.uncertified else "absent-at-cap",
             },
         )
-    comp_f0 = L.complement_of(f0).subgroup
     stats = dict(stats)
 
     def leg(u: FormMorphism) -> list[FormMorphism] | None:
@@ -362,7 +363,7 @@ def find_short_path(
             return []
         if are_adjacent(u, f0):
             return [u]
-        inter = comp_f0.intersection(L.complement_of(u).subgroup)
+        inter = comp_f0.subgroup.intersection(L.complement_of(u).subgroup)
         sub = Subform(L.form, inter)
         inner = first_w_morphism(sub.form, L.k)
         if inner is None:

@@ -9,11 +9,20 @@ Pivoting is deterministic: the pivot is the entry of smallest nonzero
 absolute value in the remaining submatrix, ties broken in row-major order.
 
 One elimination loop, ``_eliminate``, serves every caller.  It accumulates
-the unimodular transforms ``left`` and ``right`` only when its caller reads
-them: ``smith_normal_form`` (hence solving, kernels and inverses) does,
-while ``column_lattice_index`` (subgroup orders) and bordism presentations
-need only the diagonal and skip both.  The diagonal is the same on either
-path, because the operations on the work matrix are.
+each unimodular transform only when its caller reads it:
+
+* ``smith_normal_form`` builds both, for ``SNFResult.solve`` (hence
+  ``GroupHom.inverse`` and the affine congruence solver), the relation
+  matrix of ``Subgroup._decomposition`` and homology;
+* ``Subgroup._snf`` builds ``left`` only: membership, basis coordinates and
+  the relation matrix read ``left`` and the diagonal, never ``right``;
+* ``integer_kernel_basis`` builds ``right`` only, whose trailing columns
+  span the kernel;
+* ``column_lattice_index`` (subgroup orders) and bordism presentations
+  build neither.
+
+The diagonal and every transform that is built are the same in every
+mode, because the operations on the work matrix are.
 """
 
 from __future__ import annotations
@@ -69,16 +78,16 @@ class SNFResult:
         return [sum(self.right[i][t] * y[t] for t in range(n)) for i in range(n)]
 
 
-def _eliminate(A: Matrix, transforms: bool):
+def _eliminate(A: Matrix, want_left: bool = False, want_right: bool = False):
     """Diagonalize A by unimodular row and column operations.
 
-    Returns ``(diag, left, right)`` with ``left @ A @ right`` diagonal.  The
-    transforms are accumulated only when ``transforms`` is set, and are
-    None otherwise; ``diag`` and the operation sequence are the same either
-    way.  Once pivot ``t`` is placed, rows and columns before ``t`` are
-    zero off the diagonal, so a row operation touches columns ``t..`` only,
-    and a column operation made after column ``t`` is clear below the pivot
-    changes row ``t`` only.
+    Returns ``(diag, left, right)`` with ``left @ A @ right`` diagonal.
+    ``left`` is accumulated only when ``want_left`` is set and ``right``
+    only when ``want_right`` is, each None otherwise; ``diag`` and the
+    operation sequence are the same in every mode.  Once pivot ``t`` is
+    placed, rows and columns before ``t`` are zero off the diagonal, so a
+    row operation touches columns ``t..`` only, and a column operation made
+    after column ``t`` is clear below the pivot changes row ``t`` only.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -86,25 +95,25 @@ def _eliminate(A: Matrix, transforms: bool):
     for row in work:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    left = identity_matrix(m) if transforms else None
-    right = identity_matrix(n) if transforms else None
+    left = identity_matrix(m) if want_left else None
+    right = identity_matrix(n) if want_right else None
 
     def swap_rows(a: int, b: int) -> None:
         work[a], work[b] = work[b], work[a]
-        if transforms:
+        if want_left:
             left[a], left[b] = left[b], left[a]
 
     def swap_cols(a: int, b: int) -> None:
         for row in work:
             row[a], row[b] = row[b], row[a]
-        if transforms:
+        if want_right:
             for row in right:
                 row[a], row[b] = row[b], row[a]
 
     def add_row(dst: int, src: int, factor: int, t: int) -> None:
         wd, ws = work[dst], work[src]
         wd[t:] = [a + factor * b for a, b in zip(wd[t:], ws[t:])]
-        if transforms:
+        if want_left:
             ld = left[dst]
             ld[:] = [a + factor * b for a, b in zip(ld, left[src])]
 
@@ -133,7 +142,7 @@ def _eliminate(A: Matrix, transforms: bool):
             swap_cols(t, best[1])
         if work[t][t] < 0:
             work[t] = [-v for v in work[t]]
-            if transforms:
+            if want_left:
                 left[t] = [-v for v in left[t]]
 
         while True:
@@ -162,7 +171,7 @@ def _eliminate(A: Matrix, transforms: bool):
                     continue
                 q, r = divmod(v, p)
                 row_t[j] = r
-                if transforms:
+                if want_right:
                     for row in right:
                         row[j] -= q * row[t]
                 if r != 0:
@@ -192,7 +201,7 @@ def _eliminate(A: Matrix, transforms: bool):
 
 def smith_normal_form(A: Matrix) -> SNFResult:
     """SNF of A with both transforms."""
-    diag, left, right = _eliminate(A, True)
+    diag, left, right = _eliminate(A, want_left=True, want_right=True)
     return SNFResult(left=left, diag=diag, right=right, rank=sum(1 for d in diag if d))
 
 
@@ -204,13 +213,11 @@ def integer_kernel_basis(A: Matrix) -> list[list[int]]:
         return []
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    res = smith_normal_form(A)
+    diag, _, right = _eliminate(A, want_right=True)
+    rank = sum(1 for d in diag if d)
     # A v = 0 iff the first `rank` coordinates of right^-1 v vanish, so the
     # kernel is spanned by the trailing columns of `right`.
-    basis = []
-    for j in range(res.rank, n):
-        basis.append([res.right[i][j] for i in range(n)])
-    return basis
+    return [[row[j] for row in right] for j in range(rank, n)]
 
 
 def column_lattice_index(A: Matrix) -> int:
@@ -221,7 +228,7 @@ def column_lattice_index(A: Matrix) -> int:
     m = len(A)
     if m == 0:
         return 1
-    diag, _, _ = _eliminate(A, False)
+    diag, _, _ = _eliminate(A)
     # A zero on the diagonal, or fewer columns than rows, means rank < m.
     return math.prod(diag) if len(diag) == m else 0
 

@@ -197,7 +197,7 @@ def _all_homs_to_c3(form):
 
 def rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
     t0 = time.time()
-    budget = budget or 500_000
+    budget = 500_000 if budget is None else budget
     failures = 0
     total = 0
     details = []
@@ -226,7 +226,7 @@ def rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
 
 def stable_rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
     t0 = time.time()
-    budget = budget or 500_000
+    budget = 500_000 if budget is None else budget
     form = w_power(3, 2)
     base = stable_k_rank(form, 3, g_max=2, budget=budget)
     morphs = morphisms_from_w(form, 3, cap=5000)

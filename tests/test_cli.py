@@ -286,6 +286,25 @@ def test_verify_unknown_suite_exits_2(files, capsys):
     assert "bordism-tables" in err  # the known names are listed
 
 
+def test_verify_budget_zero_is_honoured(files, capsys, monkeypatch):
+    """--budget 0 means bounds only, as for ``rank``; it is not replaced by
+    the default budget."""
+    code, report = run_json(capsys, "verify", "rank-reduction", "--budget", "0")
+    assert code == 1
+    assert report["data"]["first_failure"]["detail"] == "base rank uncertified"
+
+    budgets = []
+    real = verify_mod.stable_k_rank
+
+    def spy(*args, budget, **kwargs):
+        budgets.append(budget)
+        return real(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "stable_k_rank", spy)
+    run_json(capsys, "verify", "stable-rank-reduction", "--budget", "0")
+    assert budgets and set(budgets) == {0}
+
+
 def test_verify_failure_exits_1(files, capsys, monkeypatch):
     def fake(seed, budget):
         return CriterionResult(

@@ -139,23 +139,78 @@ def test_sub_coords_of_decomposition_gens():
 
 
 def test_subgroup_eliminates_its_lattice_once(monkeypatch):
-    """Membership and coordinates read the one cached SNF of the lattice;
-    the presentation adds the SNF of the relation matrix, and nothing else."""
+    """Membership and coordinates read the one cached elimination of the
+    lattice, which builds the left transform only; the presentation adds
+    the full SNF of the relation matrix, and nothing else."""
     from linkforms import groups
 
-    calls = []
-    real = groups.smith_normal_form
-    monkeypatch.setattr(groups, "smith_normal_form", lambda A: calls.append(A) or real(A))
+    eliminations, snfs = [], []
+    real_eliminate, real_snf = groups._eliminate, groups.smith_normal_form
+
+    def eliminate(A, **modes):
+        eliminations.append((A, modes))
+        return real_eliminate(A, **modes)
+
+    monkeypatch.setattr(groups, "_eliminate", eliminate)
+    monkeypatch.setattr(groups, "smith_normal_form", lambda A: snfs.append(A) or real_snf(A))
     G = FinAbGroup.of(4, 6, 9, 12)
     H = Subgroup(G, [G.element((2, 3, 3, 4)), G.element((1, 0, 6, 2))])
     members = [H.from_sub_coords(w) for w in itertools.product(*(range(s) for s in H.invariant_factors))]
-    assert len(calls) == 2
+    assert (len(eliminations), len(snfs)) == (1, 1)
     for x in members:
         assert x in H
         assert H.from_sub_coords(H.to_sub_coords(x)) == x
     assert G.element((1, 1, 1, 1)) not in H
-    assert len(calls) == 2
-    assert calls[0] == H._lattice
+    assert (len(eliminations), len(snfs)) == (1, 1)
+    assert eliminations == [(H._lattice, {"want_left": True})]
+
+
+def reference_combination(group, coeffs, elements):
+    """sum_i c_i * elements[i] by repeated validated scale-and-add."""
+    out = group.zero()
+    for c, e in zip(coeffs, elements):
+        if c:
+            out = out + e.scale(c)
+    return out
+
+
+group_orders = st.lists(
+    st.one_of(st.integers(2, 12), st.integers(2**64, 2**66)), min_size=1, max_size=3
+)
+coefficients = st.one_of(
+    st.integers(-30, 30), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_orders, group_orders, st.data())
+def test_hom_call_matches_scale_and_add(source_orders, target_orders, data):
+    """GroupHom.__call__ against the scale-and-add reference, with orders
+    past 2^64 and negative and huge image multipliers."""
+    S, T = FinAbGroup.of(*source_orders), FinAbGroup.of(*target_orders)
+    # An order-d generator may map to multiples of o // gcd(o, d) only.
+    images = [
+        T.element(tuple(data.draw(coefficients) * (o // math.gcd(o, d)) for o in T.orders))
+        for d in S.orders
+    ]
+    h = GroupHom(S, T, images)
+    x = S.element(tuple(data.draw(coefficients) for _ in S.orders))
+    assert h(x) == reference_combination(T, x.coeffs, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_orders, st.data())
+def test_from_sub_coords_matches_scale_and_add(orders, data):
+    """Subgroup.from_sub_coords against the scale-and-add reference, on
+    unreduced negative and huge standalone coordinates."""
+    G = FinAbGroup.of(*orders)
+    gens = [
+        G.element(tuple(data.draw(coefficients) for _ in orders))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    H = Subgroup(G, gens)
+    w = tuple(data.draw(coefficients) for _ in H.invariant_factors)
+    assert H.from_sub_coords(w) == reference_combination(G, w, H.decomposition_gens)
 
 
 def test_standalone_group():

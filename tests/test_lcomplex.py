@@ -326,6 +326,29 @@ def test_path_through_hub_without_materializing():
     assert not L.materialized
 
 
+def test_hub_complement_is_computed_once(monkeypatch):
+    """Repeated hub paths on one lazy complex reuse the hub's orthogonal
+    complement, computed once when the hub is selected."""
+    calls = []
+    real = lcomplex.orthogonal_complement
+
+    def spy(form, sub):
+        calls.append(tuple(g.coeffs for g in sub.generators))
+        return real(form, sub)
+
+    monkeypatch.setattr(lcomplex, "orthogonal_complement", spy)
+    L = build_l_complex(w_power(3, 4), 3)
+    rng = random.Random(3)
+    hub_queries = 0
+    for _ in range(4):
+        res = find_short_path(L, rng.randrange(L.vertex_count), rng.randrange(L.vertex_count))
+        assert res
+        hub_queries += "f0_index" in res.stats
+    f0 = L._f0_cache[0]
+    assert hub_queries == 4
+    assert calls.count(tuple(img.coeffs for img in f0.images)) == 1
+
+
 def test_lazy_paths_on_w3_fifth_power():
     """Hub paths on W_3^5 (1,162,241,784 vertices) at seeded index pairs.
 

@@ -178,12 +178,15 @@ entries = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
 def test_diagonal_only_elimination(m, n, zero, data):
-    """The elimination without transforms gives the diagonal and rank of
-    the full SNF: on empty, single-row, single-column and zero matrices
-    and on entries past 2^64."""
+    """Each transform mode of the elimination gives the diagonal of the
+    full SNF, and exactly the transforms it asks for, equal to the full
+    SNF's: on empty, single-row, single-column and zero matrices and on
+    entries past 2^64."""
     A = [[0 if zero else data.draw(entries) for _ in range(n)] for _ in range(m)]
     full = check_snf(A) if m and n else smith_normal_form(A)
-    diag, left, right = _eliminate(A, False)
-    assert left is None and right is None
-    assert diag == full.diag
-    assert sum(1 for d in diag if d) == full.rank
+    assert _eliminate(A, False) == (full.diag, None, None)
+    for want_left, want_right in itertools.product((False, True), repeat=2):
+        diag, left, right = _eliminate(A, want_left=want_left, want_right=want_right)
+        assert diag == full.diag
+        assert left == (full.left if want_left else None)
+        assert right == (full.right if want_right else None)
