@@ -3,8 +3,7 @@
 ``perfbench/run.py`` digests the checked results of a workload's first
 ``trace_rounds`` rounds (ranks, classifications, path vertices, witnesses).
 Any change to what the library computes on those inputs changes the digest,
-so these values are frozen: they were recorded before the subgroup and SNF
-layers stopped building unread transforms and intermediate elements.
+so these values are frozen; a speed-up must leave them as they are.
 """
 
 import hashlib
