@@ -83,7 +83,6 @@ from .lcomplex import (
     LComplex,
     PathResult,
     WitnessResult,
-    are_adjacent,
     build_l_complex,
     cancellation_check,
     edge_swap_automorphism,

@@ -512,24 +512,55 @@ def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
     """The index-th morphism in the lexicographic enumeration.
 
     The first call for (form, k) caches the torsion matrix and the
-    cumulative per-row solution counts on the form: 8 bytes per torsion
-    row on top of the matrix.  A lookup then finds its row x by binary
-    search, O(log |M[k]|), and scans that one row for y; the pair table is
-    never materialized.  Forms outside the int64 gate take the same steps
-    in exact integer arithmetic.
+    cumulative per-row solution counts on the form (``_w_counts``): 8 bytes
+    per torsion row on top of the matrix.  A lookup finds its row x by
+    binary search, O(log |M[k]|), and then counts its partner y out digit
+    by digit in O(rank) exact integer steps, with no scan of M[k]:
+
+    Write y_j = t_j step_j with 0 <= t_j < n_j = gcd(d_j, k) and
+    step_j = d_j / n_j, and put a_j = c_j step_j mod D for c = x N mod D.
+    The partners are the t with sum_j a_j t_j = D/k mod D, in lexicographic
+    order of t.  Since n_i a_i = 0 mod D, the suffix sums
+    t -> sum_{i>j} a_i t_i are a homomorphism onto the multiples of
+    G_{j+1} = gcd(D, a_{j+1}, ...), and each multiple is hit by
+    C_{j+1} = P_{j+1} G_{j+1} / D suffixes, P_{j+1} = n_{j+1} ... n_r.  So
+    the digits t_j that some suffix completes solve a_j t_j = rest mod
+    G_{j+1}: one progression t0 + q m, m = G_{j+1} / gcd(a_j, G_{j+1}),
+    each value followed by C_{j+1} partners, and the offset picks q.  The
+    result is still checked by ``w_morphism``'s exact pairing test.
     """
     total = count_w_morphisms(form, k)
     if not 0 <= index < total:
         raise InputError(f"index {index} out of range ({total} morphisms)")
-    X, N = form._w_rows(k)
+    X, _ = form._w_rows(k)
     cum = form._w_counts(k)
-    D = form.denominator
     i = int(np.searchsorted(cum, index, side="right"))
-    seen = int(cum[i - 1]) if i else 0
-    hits = np.flatnonzero((X @ ((X[i] @ N) % D)) % D == D // k)
+    offset = index - (int(cum[i - 1]) if i else 0)
     x = form.group.element(tuple(X[i].tolist()))
-    y = form.group.element(tuple(X[hits[index - seen]].tolist()))
-    return w_morphism(form, k, x, y)
+    c, D = form.dual_functional_rows(x)
+    orders = form.group.orders
+    n = [math.gcd(d, k) for d in orders]
+    a = [cj * (d // nj) % D for cj, d, nj in zip(c, orders, n)]
+    # suffix gcds G[j] = gcd(D, a_j, ...) and digit counts P[j] = n_j ... n_r
+    r = len(orders)
+    G, P = [D] * (r + 1), [1] * (r + 1)
+    for j in reversed(range(r)):
+        G[j], P[j] = math.gcd(G[j + 1], a[j]), P[j + 1] * n[j]
+    rest = D // k
+    coeffs = []
+    for j, (aj, nj, d) in enumerate(zip(a, n, orders)):
+        g = math.gcd(aj, G[j + 1])
+        if rest % g:
+            raise InvariantError(f"partner digit {j} of index {index} has no solution")
+        m = G[j + 1] // g
+        t0 = rest // g * pow(aj // g, -1, m) % m
+        q, offset = divmod(offset, P[j + 1] * G[j + 1] // D)
+        t = t0 + q * m
+        if t >= nj:
+            raise InvariantError(f"partner digit {j} of index {index} exceeds {nj - 1}")
+        coeffs.append(t * (d // nj))
+        rest = (rest - aj * t) % D
+    return w_morphism(form, k, x, form.group.element(tuple(coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,16 @@ with trivial pairwise intersection.  The complex is flag, so the
 1-skeleton determines everything.
 
 Orthogonality implies the trivial intersection.  A vertex f is a
-FormMorphism, whose construction checked b(f u, f v) = b_W(u, v).  If
-f(W) is orthogonal to g(W) and z = f(w) lies in g(W), then
-b_W(w', w) = b(f w', z) = 0 for every w', so w lies in the radical of
-the nonsingular W_k, which is 0; hence z = 0.
+FormMorphism from the standard W_k, whose construction checked
+b(f u, f v) = b_W(u, v).  If f(W) is orthogonal to g(W) and z = f(w) lies
+in g(W), then b_W(w', w) = b(f w', z) = 0 for every w', so w lies in the
+radical of the nonsingular W_k, which is 0; hence z = 0.  So lazy and
+materialized complexes have one edge relation, orthogonality: the lazy
+queries test it pair by pair with ``images_orthogonal``, the materialized
+1-skeleton in bulk with ``_orthogonality``.  ``LComplex.vertex`` admits
+only morphisms from the standard W_k into the complex's form, which is
+the lemma's hypothesis; ``images_intersect_trivially`` is the SNF oracle
+that the tests check the lemma against.
 
 Small complexes are materialized as a FlagComplex; above the vertex cap
 the complex stays lazy and queries are served by generating morphisms
@@ -54,7 +60,11 @@ DEFAULT_LINK_PAIR_CAP = 250_000
 
 
 def images_orthogonal(f: FormMorphism, g: FormMorphism) -> bool:
+    """Whether the images of f and g are orthogonal: for vertices, the edge
+    relation (module docstring)."""
     form = f.target
+    if g.target != form:
+        raise InputError("morphisms map into different forms")
     return all(form._pairings(u, (g.x, g.y)) == [0, 0] for u in (f.x, f.y))
 
 
@@ -62,19 +72,6 @@ def images_intersect_trivially(f: FormMorphism, g: FormMorphism) -> bool:
     k = f.block_k
     joint = Subgroup(f.target.group, list(f.images) + list(g.images))
     return joint.order == k ** 4
-
-
-def are_adjacent(f: FormMorphism, g: FormMorphism) -> bool:
-    """Edge relation: orthogonal images with trivial intersection.
-
-    The intersection follows from orthogonality (module docstring); this
-    one-pair test, the lazy path's definition of an edge, still checks it.
-    """
-    if not images_orthogonal(f, g):
-        return False
-    if not images_intersect_trivially(f, g):
-        raise InvariantError("orthogonal nonsingular images must intersect trivially")
-    return True
 
 
 def _orthogonality(form: LinkingForm, k: int, morphs) -> np.ndarray:
@@ -123,6 +120,8 @@ class LComplex:
 
     def vertex(self, i) -> FormMorphism:
         if isinstance(i, FormMorphism):
+            if i.target != self.form or i.source != standard_w(self.k):
+                raise InputError("morphism is not a vertex of this complex")
             return i
         i = int(i)
         if not 0 <= i < self.vertex_count:
@@ -134,6 +133,7 @@ class LComplex:
     def index_of(self, f) -> int:
         if isinstance(f, (int, np.integer)):
             return int(f)
+        f = self.vertex(f)
         if self._morphisms is None:
             raise CapExceeded("index lookup requires materialization")
         if self._key_index is None:
@@ -250,7 +250,7 @@ def verify_link_iso(L: LComplex, sigma, pair_cap: int = 200_000) -> bool:
     """
     morphs = [L.vertex(s) for s in sigma]
     for a, b in itertools.combinations(morphs, 2):
-        if not are_adjacent(a, b):
+        if not images_orthogonal(a, b):
             raise InputError("sigma is not a simplex of the complex")
     form, k = L.form, L.k
     if morphs:
@@ -343,7 +343,7 @@ def find_short_path(
     g = L.vertex(g)
     if f.key() == g.key():
         return PathResult("ok", [f], {"shortcut": "equal"})
-    if are_adjacent(f, g):
+    if images_orthogonal(f, g):
         return PathResult("ok", [f, g], {"shortcut": "adjacent"})
     try:
         f0, stats, comp_f0 = _select_f0(L, f0_scan, rank_budget)
@@ -361,7 +361,7 @@ def find_short_path(
     def leg(u: FormMorphism) -> list[FormMorphism] | None:
         if u.key() == f0.key():
             return []
-        if are_adjacent(u, f0):
+        if images_orthogonal(u, f0):
             return [u]
         inter = comp_f0.subgroup.intersection(L.complement_of(u).subgroup)
         sub = Subform(L.form, inter)
@@ -380,7 +380,7 @@ def find_short_path(
         )
     path = left + [f0] + list(reversed(right))
     for a, b in zip(path, path[1:]):
-        if not are_adjacent(a, b):
+        if not images_orthogonal(a, b):
             raise InvariantError("constructed path has a non-edge")
     if len(path) > 5:
         raise InvariantError(f"constructed path has {len(path) - 1} edges, more than 4")
@@ -399,7 +399,7 @@ def edge_swap_automorphism(a: FormMorphism, b: FormMorphism) -> FormMorphism:
     that the result maps a's block generators to b's.
     """
     form = a.target
-    if not are_adjacent(a, b):
+    if not images_orthogonal(a, b):
         raise InputError("edge swap requires adjacent morphisms")
     retr_a = _retraction(a)
     retr_b = _retraction(b)
@@ -458,7 +458,7 @@ def transitivity_witness(L: LComplex, f0, f1, path=None) -> WitnessResult:
         h = identity_morphism(L.form)
         return WitnessResult("ok", h, [m0], {"length": 0})
     if path is None:
-        if are_adjacent(m0, m1):
+        if images_orthogonal(m0, m1):
             path = [m0, m1]
         elif L.materialized:
             idx = _bfs_path(L, L.index_of(f0), L.index_of(f1))

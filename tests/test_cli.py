@@ -6,7 +6,15 @@ import sys
 import jsonschema
 import pytest
 
-from linkforms import FinAbGroup, LinkingForm, QZValue, direct_sum, standard_w, w_power
+from linkforms import (
+    FinAbGroup,
+    LinkingForm,
+    QZValue,
+    direct_sum,
+    first_w_morphism,
+    standard_w,
+    w_power,
+)
 from linkforms.cli import braced, main
 from linkforms.corpus import scramble_form
 from linkforms.documents import form_to_document
@@ -381,7 +389,7 @@ import linkforms.lcomplex as lcomplex
 from linkforms.cli import main
 if not sys.flags.optimize:
     sys.exit("expected python -O")
-lcomplex.are_adjacent = lambda f, g: False
+lcomplex.images_orthogonal = lambda f, g: False
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -397,12 +405,32 @@ def w3_fourth(tmp_path):
 def test_invariant_violation_exits_7(w3_fourth, capsys, monkeypatch):
     import linkforms.lcomplex as lcomplex
 
-    monkeypatch.setattr(lcomplex, "are_adjacent", lambda f, g: False)
+    monkeypatch.setattr(lcomplex, "images_orthogonal", lambda f, g: False)
     code, report = run_json(capsys, "complex", w3_fourth, "3", "--path", "1", "2")
     assert code == 7
     assert report["status"] == "error"
     assert report["data"]["kind"] == "InvariantError"
     assert "non-edge" in report["data"]["error"]
+
+
+def test_foreign_vertex_exits_2(w3_fourth, capsys, monkeypatch):
+    """A path query whose endpoint is a morphism into another form on the
+    same group reports bad input (exit 2), not a broken invariant."""
+    import linkforms.cli as cli
+
+    real = cli.find_short_path
+
+    def with_foreign_start(L, i, j):
+        twice = LinkingForm._from_numerators(
+            L.form.group, L.form.denominator, [[2 * n for n in row] for row in L.form.numerators]
+        )
+        return real(L, first_w_morphism(twice, L.k), j)
+
+    monkeypatch.setattr(cli, "find_short_path", with_foreign_start)
+    code, report = run_json(capsys, "complex", w3_fourth, "3", "--path", "1", "2")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["data"]["kind"] == "InputError"
 
 
 def test_invariant_violation_fires_under_python_O(w3_fourth):

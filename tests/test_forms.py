@@ -525,6 +525,91 @@ def test_indexed_enumeration_property(blocks, seed, rnd):
             w_morphism_by_index(form, k, n)
 
 
+def scanned_partner_lookup(form, k, index):
+    """Oracle for ``w_morphism_by_index``: the same binary search for the
+    row x, then a scan of all of M[k] for the partners y of that row."""
+    X, N = form._w_rows(k)
+    cum = form._w_counts(k)
+    D = form.denominator
+    i = int(np.searchsorted(cum, index, side="right"))
+    seen = int(cum[i - 1]) if i else 0
+    hits = np.flatnonzero((X @ ((X[i] @ N) % D)) % D == D // k)
+    return tuple(X[i].tolist()), tuple(X[hits[index - seen]].tolist())
+
+
+def check_every_row_against_scan(form, k, rnd):
+    """For each torsion row with partners, its first and last partner and
+    one random one are looked up and compared with the scanning oracle.
+    Returns the number of morphisms."""
+    cum = [0] + form._w_counts(k).tolist()
+    total = cum[-1]
+    assert total == count_w_morphisms(form, k)
+    for seen, stop in zip(cum, cum[1:]):
+        if stop == seen:
+            continue
+        for index in {seen, stop - 1, rnd.randrange(seen, stop)}:
+            got = w_morphism_by_index(form, k, index)
+            assert got.key() == scanned_partner_lookup(form, k, index)
+    with pytest.raises(InputError):
+        w_morphism_by_index(form, k, total)
+    return total
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(4,), (6,), (9,), (12,), (2, 4), (2, 6), (3, 9), (4, 6)]),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_partner_counting_matches_scan(blocks, seed, rnd):
+    """Digit-by-digit partner counting against the full-row scan, at the
+    composite levels k in (4, 6, 9, 12) that divide D, where steps and
+    partial gcds differ from coordinate to coordinate."""
+    form, _ = scramble_form(block_sum(blocks), random.Random(seed))
+    levels = [k for k in (4, 6, 9, 12) if form.denominator % k == 0]
+    totals = [check_every_row_against_scan(form, k, rnd) for k in levels]
+    assert any(totals)
+
+
+def test_partner_counting_refuses_counts_it_cannot_meet():
+    """Row counts that overstate a row's partners (a corrupted cache) make
+    the digit counting raise InvariantError instead of returning a vertex:
+    row 0 (x = 0) has no partner at all, row 1 has 27 and is asked for its
+    28th."""
+    form = w_power(3, 2)
+    cum = form._w_counts(3)
+    assert cum[:2].tolist() == [0, 27]
+    bumped = cum + 1
+    form._w_counts_cache[3] = bumped
+    with pytest.raises(InvariantError, match="no solution"):
+        w_morphism_by_index(form, 3, 0)
+    bumped[0] = 0
+    with pytest.raises(InvariantError, match="exceeds"):
+        w_morphism_by_index(form, 3, 27)
+
+
+# W_m^2 has morphisms from W_k when k | m and gcd(m / k, k) = 1.
+PARTNER_EDGE_FORMS = {
+    # the largest such m inside the int64 gate (m <= 2**20) at k = 4
+    "W_{4*(2^18-1)}^2 k=4": (4 * ((1 << 18) - 1), 4),
+    # the smallest one past it
+    "W_{4*(2^18+1)}^2 k=4": (4 * ((1 << 18) + 1), 4),
+    "W_{2p}^2 k=2": (2 * 1048583, 2),
+    # coefficients past 2**64 on Python-int arrays (3**41 > 2**64)
+    "W_{4*3^41}^2 k=4": (4 * 3**41, 4),
+}
+
+
+@pytest.mark.parametrize("case", PARTNER_EDGE_FORMS)
+def test_partner_counting_at_int64_gate_edges(case):
+    modulus, k = PARTNER_EDGE_FORMS[case]
+    plain = w_power(modulus, 2)
+    assert (plain._np_numerators is None) == (modulus > 1 << 20)
+    scrambled, _ = scramble_form(plain, random.Random(modulus))
+    for form in (plain, scrambled):
+        assert check_every_row_against_scan(form, k, random.Random(k)) > 0
+
+
 SPAN_FORMS = {
     "W_3^2": (lambda: w_power(3, 2), 3),
     "W_3+W_9": (lambda: direct_sum(standard_w(3), standard_w(9)), 3),

@@ -8,11 +8,13 @@ import pytest
 
 from linkforms import (
     CapExceeded,
+    FinAbGroup,
+    FormMorphism,
     InputError,
     LComplex,
+    LinkingForm,
     QZValue,
     build_l_complex,
-    are_adjacent,
     are_isomorphic,
     cancellation_check,
     count_w_morphisms,
@@ -26,6 +28,7 @@ from linkforms import (
     standard_w,
     transitivity_witness,
     verify_link_iso,
+    w_morphism,
     w_power_vertex_count,
 )
 from linkforms._kernels import fits_int64
@@ -112,35 +115,60 @@ def test_w3_squared_components_are_complete_bipartite(L2):
 def test_adjacency_predicates(L2):
     i, j = map(int, np.argwhere(np.triu(L2.flag.adj, 1))[0])
     a, b = L2.vertex(i), L2.vertex(j)
-    assert are_adjacent(a, b)
-    assert images_orthogonal(a, b)
+    assert images_orthogonal(a, b) and images_orthogonal(b, a)
     assert images_intersect_trivially(a, b)
-    assert not are_adjacent(a, a)
+    assert not images_orthogonal(a, a)
+    assert not images_intersect_trivially(a, a)
     # some non-neighbour of i
-    k = int(np.nonzero(~L2.flag.adj[i])[0][1])
-    if k != i:
-        assert not are_adjacent(a, L2.vertex(k))
+    k = next(int(k) for k in np.nonzero(~L2.flag.adj[i])[0] if k != i)
+    assert not images_orthogonal(a, L2.vertex(k))
+
+
+def _materialized_edges(form, k):
+    L = build_l_complex(form, k)
+    edges = np.argwhere(np.triu(L.flag.adj, 1))
+    return [(L.vertex(int(i)), L.vertex(int(j))) for i, j in edges]
+
+
+def _lazy_path_edges(g):
+    """Consecutive vertices of 50 find_short_path and 10
+    transitivity_witness paths between seeded vertex indices of the lazy
+    complex of W_3^g: the pairs that lazy queries take as edges."""
+    L = build_l_complex(w_power(3, g), 3)
+    assert not L.materialized
+    rng = random.Random(g)
+    pairs = []
+    for query, n in ((find_short_path, 50), (transitivity_witness, 10)):
+        for _ in range(n):
+            res = query(L, rng.randrange(L.vertex_count), rng.randrange(L.vertex_count))
+            assert res
+            pairs += zip(res.path, res.path[1:])
+    return pairs
 
 
 LEMMA_CASES = {
-    "W_3^2 k=3": lambda: (w_power(3, 2), 3),
-    "W_6^2 k=2": lambda: (w_power(6, 2), 2),
-    "W_6^2 k=3": lambda: (w_power(6, 2), 3),
-    "scrambled W_3^2 k=3": lambda: (scramble_form(w_power(3, 2), random.Random(3))[0], 3),
-    "W_{2p}^2 k=2": lambda: (w_power(2 * 1048583, 2), 2),
+    "W_3^2 k=3": lambda: _materialized_edges(w_power(3, 2), 3),
+    "W_6^2 k=2": lambda: _materialized_edges(w_power(6, 2), 2),
+    "W_6^2 k=3": lambda: _materialized_edges(w_power(6, 2), 3),
+    "scrambled W_3^2 k=3": lambda: _materialized_edges(
+        scramble_form(w_power(3, 2), random.Random(3))[0], 3
+    ),
+    "W_{2p}^2 k=2": lambda: _materialized_edges(w_power(2 * 1048583, 2), 2),
+    "W_3^4 lazy paths": lambda: _lazy_path_edges(4),
+    "W_3^5 lazy paths": lambda: _lazy_path_edges(5),
 }
 
 
 @pytest.mark.parametrize("case", LEMMA_CASES)
 def test_orthogonal_edges_intersect_trivially(case):
-    """The lemma behind the edges of build_l_complex, against the SNF
-    oracle: orthogonal images of two W_k blocks meet only in 0."""
-    form, k = LEMMA_CASES[case]()
-    L = build_l_complex(form, k)
-    edges = np.argwhere(np.triu(L.flag.adj, 1))
+    """The lemma behind the one edge relation of lazy and materialized
+    complexes, against the SNF oracle: orthogonal images of two W_k blocks
+    meet only in 0."""
+    edges = LEMMA_CASES[case]()
     assert len(edges) > 0
-    for i, j in edges:
-        assert images_intersect_trivially(L.vertex(int(i)), L.vertex(int(j)))
+    for a, b in edges:
+        assert images_orthogonal(a, b)
+        assert images_intersect_trivially(a, b)
 
 
 def test_vertex_index_round_trip(L2):
@@ -155,6 +183,61 @@ def test_vertex_index_round_trip(L2):
     foreign = first_w_morphism(w_power(3, 3), 3)
     with pytest.raises(InputError):
         L2.index_of(foreign)
+    # W_3 (+) W_3 with the second block negated: a morphism inside the first
+    # block has the key of a vertex of L2 but maps into another form
+    flipped = LinkingForm._from_numerators(
+        L2.form.group, 3, [[-n if i >= 2 else n for n in row] for i, row in enumerate(L2.form.numerators)]
+    )
+    e = L2.form.group.generator
+    assert w_morphism(L2.form, 3, e(0), e(1)).key() == w_morphism(flipped, 3, e(0), e(1)).key()
+    with pytest.raises(InputError):
+        L2.index_of(w_morphism(flipped, 3, e(0), e(1)))
+
+
+def _foreign_vertices(form, k):
+    """Block morphisms that are not vertices of the complex of ``form`` at
+    k: one into 2b on the same group, one into W_k^5, and one into
+    ``form`` itself from the zero form on (Z/k)^2 instead of W_k."""
+    twice = LinkingForm._from_numerators(
+        form.group, form.denominator, [[2 * n for n in row] for row in form.numerators]
+    )
+    zero = LinkingForm(FinAbGroup.of(k, k), [[QZValue(0, 1)] * 2] * 2)
+    return {
+        "other form, same group": first_w_morphism(twice, k),
+        "other group": first_w_morphism(w_power(k, 5), k),
+        "other source": FormMorphism(zero, form, [form.group.element((0,) * form.group.rank)] * 2),
+    }
+
+
+@pytest.mark.parametrize("case", ["other form, same group", "other group", "other source"])
+def test_vertex_rejects_foreign_morphisms(case):
+    """A morphism passed as a vertex must be a morphism from W_k into the
+    complex's form; anything else is bad input, not a broken invariant."""
+    L = build_l_complex(w_power(3, 4), 3)
+    foreign = _foreign_vertices(L.form, 3)[case]
+    with pytest.raises(InputError):
+        L.vertex(foreign)
+    for query in (find_short_path, transitivity_witness):
+        with pytest.raises(InputError):
+            query(L, foreign, 0)
+        with pytest.raises(InputError):
+            query(L, 0, foreign)
+    with pytest.raises(InputError):
+        verify_link_iso(L, [foreign])
+
+
+def test_orthogonality_needs_one_target():
+    """images_orthogonal compares images in one form only, which guards
+    edge_swap_automorphism too."""
+    form = w_power(3, 4)
+    f = first_w_morphism(form, 3)
+    g = _foreign_vertices(form, 3)["other form, same group"]
+    assert f.target.group == g.target.group
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(InputError, match="different forms"):
+            images_orthogonal(a, b)
+        with pytest.raises(InputError, match="different forms"):
+            edge_swap_automorphism(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +405,7 @@ def test_path_through_hub_without_materializing():
     assert res.path[0].key() == L.vertex(0).key()
     assert res.path[-1].key() == L.vertex(7_000_001).key()
     for a, b in zip(res.path, res.path[1:]):
-        assert are_adjacent(a, b)
+        assert images_orthogonal(a, b)
     assert not L.materialized
 
 
