@@ -79,15 +79,12 @@ from .complexes import (
     relative_homology,
 )
 from .lcomplex import (
-    CancellationReport,
     LComplex,
     PathResult,
     WitnessResult,
     build_l_complex,
-    cancellation_check,
     edge_swap_automorphism,
     find_short_path,
-    images_intersect_trivially,
     images_orthogonal,
     transitivity_witness,
     verify_link_iso,

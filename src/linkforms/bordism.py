@@ -56,11 +56,6 @@ class AbGroupDescriptor:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def order(self) -> int | None:
-        if self.free_rank:
-            return None
-        return math.prod(self.torsion)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -226,17 +221,6 @@ class KKManifold1:
             self.null_b1 + other.null_b1,
             self.null_b2 + other.null_b2,
         )
-
-    def bockstein_readout(self) -> dict:
-        """Signed point counts on the two boundary sides.
-
-        A +A_k contributes +<1> to the first side and -<1> to the second;
-        a -A_k the reverse.  Circles and null pieces carry no A-part.
-        """
-        return {
-            "beta1": {"plus": self.plus, "minus": self.minus},
-            "beta2": {"plus": self.minus, "minus": self.plus},
-        }
 
 
 def kk_class(N: KKManifold1) -> int:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExhausted, CapExceeded, InputError
-from .snf import smith_normal_form
+from .snf import prime_factorization, smith_normal_form
 
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
 
@@ -88,10 +87,6 @@ class FlagComplex:
 
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
-
-    def neighbors(self, v) -> list:
-        i = self._index[v]
-        return [self.labels[j] for j in np.nonzero(self.adj[i])[0]]
 
     def faces_of_dim(self, d: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[tuple]:
         """All d-simplices (cliques on d+1 vertices), lexicographic."""
@@ -283,17 +278,6 @@ class GeneralComplex:
     def is_connected(self) -> bool:
         return self.n_vertices > 0 and len(self.components()) == 1
 
-    def to_dot(self, name: str = "complex") -> str:
-        lines = [f"graph {name} {{"]
-        for i, lab in enumerate(self.labels):
-            lines.append(f'  v{i} [label="{lab}"];')
-        for f in sorted(self.faces_of_dim(1)):
-            lines.append(
-                f"  v{self._index[f[0]]} -- v{self._index[f[1]]};"
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Homology
@@ -302,6 +286,9 @@ class GeneralComplex:
 
 @dataclass(frozen=True)
 class DegreeHomology:
+    """H_d as Z^betti plus torsion, given as its invariant-factor chain:
+    ascending, each factor above 1 and dividing the next."""
+
     betti: int
     torsion: tuple[int, ...]
 
@@ -333,9 +320,6 @@ class HomologyResult:
     face_counts: dict[int, int]
     complete: bool
     top_dim: int | None
-
-    def betti(self, d: int) -> int:
-        return self.degrees[d].betti
 
     def euler_from_faces(self) -> int:
         return sum((-1) ** d * c for d, c in self.face_counts.items())
@@ -410,12 +394,30 @@ def _assemble(faces, complete, top, max_dim) -> HomologyResult:
     )
 
 
+def _invariant_chain(factors) -> tuple[int, ...]:
+    """Invariant factors of the sum of the cyclic groups Z/t, t in factors.
+
+    Each t splits into prime powers; the i-th largest factor of the chain
+    is the product over primes p of the i-th largest power of p.
+    """
+    powers: dict[int, list[int]] = {}
+    for t in factors:
+        for p, e in prime_factorization(t):
+            powers.setdefault(p, []).append(p**e)
+    chain = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            chain[i] *= q
+    return tuple(reversed(chain))
+
+
 def homology(K, max_dim: int | None = None, budget: int = DEFAULT_SIMPLEX_BUDGET) -> HomologyResult:
     """Unreduced integral homology in degrees <= max_dim (all degrees when
     None), computed componentwise from boundary-matrix Smith normal forms.
 
     Splitting into connected components first keeps the matrices small;
-    homology is additive over disjoint unions.
+    homology is additive over disjoint unions, and the components' torsion
+    factors are merged into one invariant-factor chain.
     """
     comps = K.components()
     if len(comps) <= 1:
@@ -436,7 +438,7 @@ def homology(K, max_dim: int | None = None, budget: int = DEFAULT_SIMPLEX_BUDGET
             slot[0] += h.betti
             slot[1].extend(h.torsion)
     degrees = {
-        d: DegreeHomology(betti=b, torsion=tuple(sorted(t)))
+        d: DegreeHomology(betti=b, torsion=_invariant_chain(t))
         for d, (b, t) in total_degrees.items()
     }
     return HomologyResult(degrees=degrees, face_counts=counts, complete=complete, top_dim=top)

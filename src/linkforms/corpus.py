@@ -10,16 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 
 from .complexes import FlagComplex, SimplicialMap, SymRelation
 from .errors import InvariantError
 from .forms import FormMorphism, LinkingForm, direct_sum, standard_w
-from .groups import FinAbGroup, GroupElement, GroupHom
+from .groups import FinAbGroup, GroupHom
 from .snf import prime_factorization
 
 BLOCK_CHOICES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+AUTOMORPHISM_STEPS = 25
+SIMPLICIAL_MAP_TRIES = 60
 
 
 def random_block_multiset(rng: random.Random, max_root_order: int = 81) -> list[int]:
@@ -43,13 +46,20 @@ def block_sum(blocks) -> LinkingForm:
     return direct_sum(*(standard_w(q) for q in blocks))
 
 
-def _units_up_to(x: int, primes: list[int]) -> int:
+def _units_up_to(x: int, primes: tuple[int, ...]) -> int:
     """Number of u in [1, x] prime to every p in ``primes`` (inclusion-exclusion)."""
     total = 0
     for r in range(len(primes) + 1):
         for combo in itertools.combinations(primes, r):
             total += (-1) ** r * (x // math.prod(combo))
     return total
+
+
+@lru_cache(maxsize=128)
+def _prime_divisors(d: int) -> tuple[int, ...]:
+    """The primes dividing d; cached, since a scramble draws many units
+    modulo the same few orders."""
+    return tuple(p for p, _ in prime_factorization(d))
 
 
 def random_unit(d: int, rng: random.Random) -> int:
@@ -60,7 +70,7 @@ def random_unit(d: int, rng: random.Random) -> int:
     unit at that index is found by binary search on the count of units up
     to x.
     """
-    primes = [p for p, _ in prime_factorization(d)]
+    primes = _prime_divisors(d)
     index = rng.randrange(_units_up_to(d - 1, primes))
     lo, hi = 1, d - 1  # the answer u is the least x with index < count(x)
     while lo < hi:
@@ -72,8 +82,9 @@ def random_unit(d: int, rng: random.Random) -> int:
     return lo
 
 
-def random_group_automorphism(group: FinAbGroup, rng: random.Random, steps: int = 25) -> GroupHom:
-    """Random invertible endomorphism built from elementary operations.
+def random_group_automorphism(group: FinAbGroup, rng: random.Random) -> GroupHom:
+    """Random invertible endomorphism built from ``AUTOMORPHISM_STEPS``
+    elementary operations.
 
     Each step is one of: add a valid multiple of one generator image to
     another, rescale an image by a unit, or swap two images with equal
@@ -86,7 +97,7 @@ def random_group_automorphism(group: FinAbGroup, rng: random.Random, steps: int 
     images = [group.generator(i) for i in range(n)]
     if n == 0:
         return GroupHom(group, group, images)
-    for _ in range(steps):
+    for _ in range(AUTOMORPHISM_STEPS):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         if kind == 0 and n > 1:
@@ -110,10 +121,10 @@ def random_group_automorphism(group: FinAbGroup, rng: random.Random, steps: int 
     return hom
 
 
-def scramble_form(form: LinkingForm, rng: random.Random, steps: int = 25):
+def scramble_form(form: LinkingForm, rng: random.Random):
     """An isomorphic copy of the form on the same group, with the
     isomorphism (scrambled -> original) that witnesses it."""
-    phi = random_group_automorphism(form.group, rng, steps)
+    phi = random_group_automorphism(form.group, rng)
     N = [form._pairings(a, phi.images) for a in phi.images]
     scrambled = LinkingForm._from_numerators(form.group, form.denominator, N, name=form.name)
     witness = FormMorphism(scrambled, form, phi.images)
@@ -161,11 +172,12 @@ def disjoint_double(K: FlagComplex) -> tuple[FlagComplex, SimplicialMap]:
     return X, SimplicialMap(X, K, mapping)
 
 
-def random_simplicial_map(rng: random.Random, X: FlagComplex, Y: FlagComplex, tries: int = 60) -> SimplicialMap | None:
-    """Random vertex map that happens to be simplicial, or None."""
+def random_simplicial_map(rng: random.Random, X: FlagComplex, Y: FlagComplex) -> SimplicialMap | None:
+    """Random vertex map that happens to be simplicial, or None after
+    ``SIMPLICIAL_MAP_TRIES`` attempts."""
     from .errors import InputError
 
-    for _ in range(tries):
+    for _ in range(SIMPLICIAL_MAP_TRIES):
         mapping = {v: rng.choice(list(Y.vertices)) for v in X.vertices}
         try:
             return SimplicialMap(X, Y, mapping)

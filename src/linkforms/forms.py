@@ -32,6 +32,7 @@ from .errors import (
     SingularFormError,
 )
 from .groups import (
+    ENUMERATION_CAP,
     FinAbGroup,
     GroupElement,
     GroupHom,
@@ -43,6 +44,7 @@ from .qz import QZValue
 from .snf import prime_factorization
 
 DEFAULT_VERTEX_CAP = 500_000
+BRUTE_FORCE_ISO_CAP = 6561
 
 
 class LinkingForm:
@@ -141,15 +143,17 @@ class LinkingForm:
         D = self.denominator
         return [-sum(map(operator.mul, row, x.coeffs)) % D for row in self.numerators], D
 
-    def torsion_matrix(self, k: int, cap: int = 10**8, dtype=np.int64):
+    def torsion_matrix(self, k: int, dtype=np.int64):
         """Array of {z : k z = 0} coefficients in lexicographic order.
 
         ``dtype=object`` holds exact Python ints, for orders beyond int64.
         """
         count = self.group.torsion_count(k)
-        if count > cap:
+        if count > ENUMERATION_CAP:
             raise CapExceeded(
-                f"{count} torsion elements exceed cap {cap}", needed=count, cap=cap
+                f"{count} torsion elements exceed cap {ENUMERATION_CAP}",
+                needed=count,
+                cap=ENUMERATION_CAP,
             )
         axes = [
             np.arange(0, d, d // math.gcd(d, k), dtype=dtype)
@@ -277,9 +281,6 @@ class Subform:
             raise InputError("element is not in the subform presentation")
         return self.subgroup.from_sub_coords(x.coeffs)
 
-    def restrict_element(self, x: GroupElement) -> GroupElement:
-        return self.form.group.element(self.subgroup.to_sub_coords(x))
-
     def embed_morphism(self, f: "FormMorphism") -> "FormMorphism":
         """Push a morphism into the subform forward into the ambient form."""
         if f.target != self.form:
@@ -292,18 +293,11 @@ class Subform:
         return self.subgroup.contains(x)
 
 
-def orthogonal_complement(form: LinkingForm, sub) -> Subform:
+def orthogonal_complement(form: LinkingForm, subgroup: Subgroup) -> Subform:
     """{z : b(s, z) = 0 for all s in S} with the restricted form.
 
-    ``sub`` may be a Subgroup, Subform, or iterable of elements.  One
-    congruence row per invariant-factor generator of S suffices.
+    One congruence row per invariant-factor generator of S suffices.
     """
-    if isinstance(sub, Subform):
-        subgroup = sub.subgroup
-    elif isinstance(sub, Subgroup):
-        subgroup = sub
-    else:
-        subgroup = Subgroup(form.group, list(sub))
     rows = [form.dual_functional_rows(g) for g in subgroup.decomposition_gens]
     sol = solve_congruence_system(form.group, rows)
     return Subform(form, sol)
@@ -602,8 +596,9 @@ def split_along(f: FormMorphism) -> SplitResult:
     The orders of image and complement must multiply to |M|; each is the
     product of its invariant factors, read off the decompositions that the
     complement's congruence rows and the retraction test below use anyway,
-    so the check runs no elimination of its own.  The intersection of image and complement is certified trivial by the
-    complement generators lying in ker r: then z = f(w) in both gives
+    so the check runs no elimination of its own.  The intersection of
+    image and complement is certified trivial by the complement
+    generators lying in ker r: then z = f(w) in both gives
     w = r(f(w)) = r(z) = 0.  The same test rejects a complement that is
     not orthogonal to the image, since ker r is exactly its complement.
     """
@@ -702,12 +697,6 @@ class NormalForm:
             out.extend([p**n] * mult)
         return sorted(out)
 
-    def reconstruct(self) -> LinkingForm:
-        blocks = [standard_w(q) for q in self.block_multiset()]
-        if not blocks:
-            return LinkingForm(FinAbGroup(()), [], name="0")
-        return direct_sum(*blocks, name=str(self))
-
     def __str__(self) -> str:
         if not self.summands:
             return "0"
@@ -724,12 +713,12 @@ def normal_form(form: LinkingForm) -> NormalForm:
     return NormalForm.from_multiset(q for q, _, _ in basis)
 
 
-def are_isomorphic(a: LinkingForm, b: LinkingForm, brute_cap: int = 6561) -> bool:
+def are_isomorphic(a: LinkingForm, b: LinkingForm) -> bool:
     """Form isomorphism test.
 
     Nonsingular forms compare by classification.  Singular forms fall back
-    to a backtracking generator-image search, feasible below ``brute_cap``
-    on the group order.
+    to a backtracking generator-image search, feasible up to
+    ``BRUTE_FORCE_ISO_CAP`` on the group order.
     """
     ga = full_subgroup(a.group).invariant_factors
     gb = full_subgroup(b.group).invariant_factors
@@ -740,11 +729,11 @@ def are_isomorphic(a: LinkingForm, b: LinkingForm, brute_cap: int = 6561) -> boo
         return False
     if rad_a.order == 1:
         return normal_form(a) == normal_form(b)
-    if a.group.order > brute_cap:
+    if a.group.order > BRUTE_FORCE_ISO_CAP:
         raise CapExceeded(
-            f"brute-force isomorphism search needs order <= {brute_cap}",
+            f"brute-force isomorphism search needs order <= {BRUTE_FORCE_ISO_CAP}",
             needed=a.group.order,
-            cap=brute_cap,
+            cap=BRUTE_FORCE_ISO_CAP,
         )
     return _brute_force_isomorphic(a, b)
 

@@ -90,23 +90,6 @@ class FinAbGroup:
         """Number of solutions of k*z = 0."""
         return math.prod(math.gcd(d, k) for d in self.orders)
 
-    def torsion_elements(self, k: int, cap: int = ENUMERATION_CAP):
-        """Yield {z : k*z = 0} in lexicographic coefficient order."""
-        count = self.torsion_count(k)
-        if count > cap:
-            raise CapExceeded(
-                f"{count} k-torsion elements exceed cap {cap}", needed=count, cap=cap
-            )
-        axes = []
-        for d in self.orders:
-            step = d // math.gcd(d, k)
-            axes.append(range(0, d, step))
-        for coeffs in itertools.product(*axes):
-            yield GroupElement(self, coeffs)
-
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        return FinAbGroup(self.orders + other.orders)
-
     def __str__(self) -> str:
         if not self.orders:
             return "0"
@@ -205,9 +188,6 @@ class GroupHom:
         return [
             [img.coeffs[j] for img in self.images] for j in range(self.target.rank)
         ]
-
-    def is_injective(self) -> bool:
-        return self.kernel().order == 1
 
     def is_isomorphism(self) -> bool:
         return (
@@ -369,11 +349,6 @@ class Subgroup:
         orders, gens, _ = self._decomposition
         for w in itertools.product(*(range(s) for s in orders)):
             yield self.from_sub_coords(w)
-
-    def sum_with(self, other: "Subgroup") -> "Subgroup":
-        if other.group != self.group:
-            raise InputError("subgroups of different ambient groups")
-        return Subgroup(self.group, self.generators + other.generators)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
         """Lattice intersection: solve C1 a = C2 b and keep the C1 a side.

@@ -14,8 +14,8 @@ materialized complexes have one edge relation, orthogonality: the lazy
 queries test it pair by pair with ``images_orthogonal``, the materialized
 1-skeleton in bulk with ``_orthogonality``.  ``LComplex.vertex`` admits
 only morphisms from the standard W_k into the complex's form, which is
-the lemma's hypothesis; ``images_intersect_trivially`` is the SNF oracle
-that the tests check the lemma against.
+the lemma's hypothesis; ``tests/test_lcomplex.py`` checks the lemma
+against an SNF oracle for the trivial intersection.
 
 Small complexes are materialized as a FlagComplex; above the vertex cap
 the complex stays lazy and queries are served by generating morphisms
@@ -39,9 +39,7 @@ from .forms import (
     LinkingForm,
     Subform,
     _retraction,
-    are_isomorphic,
     count_w_morphisms,
-    direct_sum,
     first_w_morphism,
     full_subgroup,
     identity_morphism,
@@ -51,12 +49,15 @@ from .forms import (
     w_morphism_by_index,
 )
 from .groups import Subgroup
-from .rank import k_rank, stable_k_rank
+from .rank import k_rank
 from .snf import prime_factorization
 
 DEFAULT_MATERIALIZE_CAP = 25_000
 DEFAULT_EDGE_CAP = 5_000_000
 DEFAULT_LINK_PAIR_CAP = 250_000
+LINK_EDGE_PAIR_CAP = 200_000
+F0_SCAN = 200
+F0_RANK_BUDGET = 50_000
 
 
 def images_orthogonal(f: FormMorphism, g: FormMorphism) -> bool:
@@ -66,12 +67,6 @@ def images_orthogonal(f: FormMorphism, g: FormMorphism) -> bool:
     if g.target != form:
         raise InputError("morphisms map into different forms")
     return all(form._pairings(u, (g.x, g.y)) == [0, 0] for u in (f.x, f.y))
-
-
-def images_intersect_trivially(f: FormMorphism, g: FormMorphism) -> bool:
-    k = f.block_k
-    joint = Subgroup(f.target.group, list(f.images) + list(g.images))
-    return joint.order == k ** 4
 
 
 def _orthogonality(form: LinkingForm, k: int, morphs) -> np.ndarray:
@@ -238,7 +233,7 @@ def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
     return {(rows[i], rows[j]) for i, j in pairs.tolist()}
 
 
-def verify_link_iso(L: LComplex, sigma, pair_cap: int = 200_000) -> bool:
+def verify_link_iso(L: LComplex, sigma) -> bool:
     """Check that the link of a simplex is exactly the complex of the
     orthogonal complement of its images.
 
@@ -258,16 +253,16 @@ def verify_link_iso(L: LComplex, sigma, pair_cap: int = 200_000) -> bool:
         compl = orthogonal_complement(form, Subgroup(form.group, gens))
     else:
         compl = Subform(form, full_subgroup(form.group))
-    inner = morphisms_from_w(compl.form, k, cap=pair_cap)
+    inner = morphisms_from_w(compl.form, k, cap=LINK_EDGE_PAIR_CAP)
     embedded = [compl.embed_morphism(m) for m in inner]
     if {e.key() for e in embedded} != _ambient_link_keys(L, morphs):
         return False
     n = len(inner)
-    if n * (n - 1) // 2 > pair_cap:
+    if n * (n - 1) // 2 > LINK_EDGE_PAIR_CAP:
         raise CapExceeded(
             "too many link pairs for exact edge comparison",
             needed=n * (n - 1) // 2,
-            cap=pair_cap,
+            cap=LINK_EDGE_PAIR_CAP,
         )
     return n == 0 or np.array_equal(
         _orthogonality(form, k, embedded), _orthogonality(compl.form, k, inner)
@@ -289,18 +284,18 @@ class PathResult:
         return self.status == "ok"
 
 
-def _select_f0(L: LComplex, scan: int, budget: int) -> tuple[FormMorphism, dict, Subform]:
+def _select_f0(L: LComplex) -> tuple[FormMorphism, dict, Subform]:
     """The hub, its selection stats and its orthogonal complement, cached
     on ``L`` so that later queries reuse the complement's lattice work."""
     if L._f0_cache is not None:
         return L._f0_cache
     scanned = 0
     any_uncertified = False
-    for i in range(min(scan, L.vertex_count)):
+    for i in range(min(F0_SCAN, L.vertex_count)):
         cand = L.vertex(i)
         comp = L.complement_of(cand)
         try:
-            r = k_rank(comp.form, L.k, budget=budget)
+            r = k_rank(comp.form, L.k, budget=F0_RANK_BUDGET)
         except BudgetExhausted:
             any_uncertified = True
             continue
@@ -324,18 +319,13 @@ class _NoF0(Exception):
         self.uncertified = uncertified
 
 
-def find_short_path(
-    L: LComplex,
-    f,
-    g,
-    f0_scan: int = 200,
-    rank_budget: int = 50_000,
-) -> PathResult:
+def find_short_path(L: LComplex, f, g) -> PathResult:
     """Constructive path of length at most 4 via a hub morphism.
 
-    The hub f0 is the first vertex in enumeration order whose complement
-    has block rank at least 3 (budgeted check; an uncertified rank value
-    is accepted and flagged).  Each endpoint reaches the hub through a
+    The hub f0 is the first of the first ``F0_SCAN`` vertices in
+    enumeration order whose complement has block rank at least 3 (checked
+    within ``F0_RANK_BUDGET``; an uncertified rank value is accepted and
+    flagged).  Each endpoint reaches the hub through a
     morphism into the intersection of its complement with the hub's, and
     both legs plus shortcuts keep the path length at or below 4.
     """
@@ -346,7 +336,7 @@ def find_short_path(
     if images_orthogonal(f, g):
         return PathResult("ok", [f, g], {"shortcut": "adjacent"})
     try:
-        f0, stats, comp_f0 = _select_f0(L, f0_scan, rank_budget)
+        f0, stats, comp_f0 = _select_f0(L)
     except _NoF0 as exc:
         return PathResult(
             "no-f0",
@@ -478,49 +468,3 @@ def transitivity_witness(L: LComplex, f0, f1, path=None) -> WitnessResult:
     if h(m0.x) != m1.x or h(m0.y) != m1.y:
         raise InvariantError("witness fails to carry f0 to f1")
     return WitnessResult("ok", h, path, {"length": len(path) - 1})
-
-
-# ---------------------------------------------------------------------------
-# Cancellation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CancellationReport:
-    with_block: bool
-    direct: bool
-    consistent: bool
-    hypothesis: dict
-
-    def __bool__(self) -> bool:
-        return self.with_block
-
-
-def cancellation_check(M: LinkingForm, N: LinkingForm, k: int, budget: int = 20_000) -> CancellationReport:
-    """Compare isomorphism after adding a standard block with direct
-    isomorphism; on nonsingular inputs the two must agree.
-
-    The hypothesis report notes whether the stabilized form's block rank
-    certifiably reaches 4, the threshold past which the block-morphism
-    complex of the stabilized form is path connected and cancellation
-    stops being an independent fact.
-    """
-    MW = direct_sum(M, standard_w(k))
-    NW = direct_sum(N, standard_w(k))
-    with_block = are_isomorphic(MW, NW)
-    direct = are_isomorphic(M, N)
-    consistent = with_block == direct
-    if not consistent and M.is_nonsingular() and N.is_nonsingular():
-        raise InvariantError("cancellation must be exact on nonsingular forms")
-    try:
-        sr = stable_k_rank(MW, k, g_max=2, budget=budget)
-        hyp = {
-            "stable_rank_lower": sr.value,
-            "certified": sr.certified,
-            "sufficient": sr.value >= 4,
-        }
-    except (BudgetExhausted, CapExceeded) as exc:
-        hyp = {"stable_rank_lower": None, "certified": False, "note": str(exc)}
-    return CancellationReport(
-        with_block=with_block, direct=direct, consistent=consistent, hypothesis=hyp
-    )

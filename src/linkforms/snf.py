@@ -52,12 +52,6 @@ class SNFResult:
     right: Matrix
     rank: int
 
-    def diagonal_matrix(self, rows: int, cols: int) -> Matrix:
-        D = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diag):
-            D[i][i] = d
-        return D
-
     def solve(self, b: list[int]) -> list[int] | None:
         """One integer solution of A @ x = b for the A this SNF came from,
         or None when none exists."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from linkforms import (
     BudgetExhausted,
     CapExceeded,
+    DegreeHomology,
     FAIL,
     INCONCLUSIVE,
     FlagComplex,
@@ -217,6 +218,32 @@ def test_projective_plane_fixture():
     assert mod_p_betti(faces, 5) == {0: 1, 1: 0, 2: 0}
 
 
+def moore_space_z3():
+    """A 9-gon whose boundary winds three times round the 3-cycle 10, 11,
+    12, filled by an inner ring 20..28 and the centre 30: H_1 = Z/3."""
+    rim = [10 + i % 3 for i in range(10)]
+    faces = []
+    for i in range(9):
+        ring, nxt = 20 + i, 20 + (i + 1) % 9
+        faces += [(rim[i], rim[i + 1], ring), (rim[i + 1], ring, nxt), (ring, nxt, 30)]
+    return faces
+
+
+def test_torsion_is_one_chain_across_components():
+    """RP^2 and the mod-3 Moore space give Z/6 in H_1 whether they are
+    disjoint or joined by an edge, as one invariant factor either way."""
+    moore = homology(GeneralComplex(moore_space_z3()))
+    assert (moore.degrees[1].betti, moore.degrees[1].torsion) == (0, (3,))
+    disjoint = GeneralComplex(RP2_FACES + moore_space_z3())
+    joined = GeneralComplex(RP2_FACES + moore_space_z3() + [(1, 10)])
+    assert len(disjoint.components()) == 2 and joined.is_connected()
+    apart, together = homology(disjoint).degrees, homology(joined).degrees
+    assert apart[1] == together[1] == DegreeHomology(0, (6,))
+    assert (apart[0].betti, together[0].betti) == (2, 1)
+    # relative homology rel nothing runs one SNF over both components
+    assert relative_homology(disjoint, [], max_dim=1)[1].torsion == (6,)
+
+
 def test_homology_additive_over_components():
     K = cycle_graph(5)
     D, _ = disjoint_double(K)
@@ -226,8 +253,6 @@ def test_homology_additive_over_components():
 
 
 def test_degree_homology_rendering():
-    from linkforms import DegreeHomology
-
     assert str(DegreeHomology(0, ())) == "0"
     assert str(DegreeHomology(1, ())) == "Z"
     assert str(DegreeHomology(2, (2,))) == "Z^2 + Z/2"

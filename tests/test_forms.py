@@ -23,7 +23,6 @@ from linkforms import (
     direct_sum,
     extend_to_automorphism,
     first_w_morphism,
-    full_subgroup,
     hyperbolic_basis,
     identity_morphism,
     kernel_form,
@@ -40,9 +39,15 @@ from linkforms.corpus import block_sum, random_scrambled_pair, scramble_form
 from linkforms.forms import Subform
 
 
+def torsion_elements(group, k):
+    """{z : k z = 0} in lexicographic coefficient order."""
+    axes = [range(0, d, d // math.gcd(d, k)) for d in group.orders]
+    return [group.element(c) for c in itertools.product(*axes)]
+
+
 def brute_count_w_morphisms(form, k):
     """Independent count: scan all pairs of k-torsion elements."""
-    tors = list(form.group.torsion_elements(k))
+    tors = torsion_elements(form.group, k)
     target = QZValue(1, k)
     return sum(
         1 for x in tors for y in tors if form.evaluate(x, y) == target
@@ -182,7 +187,7 @@ def test_indexed_enumeration_matches_list():
 def brute_w_pair_keys(form, k):
     """All (x, y) keys with b(x, y) = 1/k, by exact evaluation of every pair
     of k-torsion elements in lexicographic order."""
-    tors = list(form.group.torsion_elements(k))
+    tors = torsion_elements(form.group, k)
     target = QZValue(1, k)
     return [
         (x.coeffs, y.coeffs) for x in tors for y in tors if form.evaluate(x, y) == target
@@ -286,7 +291,8 @@ def test_split_is_orthogonal_decomposition():
     for a in split.image.subgroup.elements():
         for b in split.complement.subgroup.elements():
             assert form.evaluate(a, b).is_zero()
-    assert split.image.subgroup.sum_with(split.complement.subgroup).order == 81
+    both = split.image.subgroup.generators + split.complement.subgroup.generators
+    assert Subgroup(form.group, both).order == 81
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +319,9 @@ def test_complement_evaluation_restricts():
     comp = orthogonal_complement(form, f.image_subgroup)
     for a in comp.subgroup.elements():
         for b in comp.subgroup.elements():
-            assert comp.form.evaluate(
-                comp.restrict_element(a), comp.restrict_element(b)
-            ) == form.evaluate(a, b)
+            a_sub = comp.form.group.element(comp.subgroup.to_sub_coords(a))
+            b_sub = comp.form.group.element(comp.subgroup.to_sub_coords(b))
+            assert comp.form.evaluate(a_sub, b_sub) == form.evaluate(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +375,19 @@ def test_classification_distinguishes():
     assert not are_isomorphic(w_power(3, 2), standard_w(9))
     assert not are_isomorphic(standard_w(2), standard_w(4))
     assert are_isomorphic(w_power(3, 2), w_power(3, 2))
+
+
+def test_cancellation_of_a_standard_block():
+    """Adding W_3 to both sides neither creates nor destroys isomorphism."""
+    W3 = standard_w(3)
+    cases = [
+        (W3, scramble_form(W3, random.Random(23))[0], True),
+        (W3, standard_w(9), False),
+        (w_power(3, 2), scramble_form(w_power(3, 2), random.Random(4))[0], True),
+    ]
+    for M, N, iso in cases:
+        assert are_isomorphic(M, N) == iso
+        assert are_isomorphic(direct_sum(M, W3), direct_sum(N, W3)) == iso
 
 
 def test_scramble_recovers_normal_form():

@@ -65,7 +65,7 @@ def check_snf(A):
     assert abs(bareiss_det(res.left)) == 1
     assert abs(bareiss_det(res.right)) == 1
     D = matmul(matmul(res.left, A), res.right)
-    assert D == res.diagonal_matrix(m, n)
+    assert D == [[res.diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
     for a, b in zip(res.diag, res.diag[1:]):
         if b != 0:
             assert a != 0 and b % a == 0
