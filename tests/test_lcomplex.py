@@ -14,6 +14,7 @@ from linkforms import (
     LinkingForm,
     QZValue,
     Subgroup,
+    are_isomorphic,
     build_l_complex,
     count_w_morphisms,
     direct_sum,
@@ -22,6 +23,7 @@ from linkforms import (
     first_w_morphism,
     identity_morphism,
     images_orthogonal,
+    stable_k_rank,
     standard_w,
     transitivity_witness,
     verify_link_iso,
@@ -569,3 +571,42 @@ def test_witness_explicit_path(L2):
     i, j = map(int, np.argwhere(np.triu(L2.flag.adj, 1))[0])
     res = transitivity_witness(L2, i, j, path=[i, j])
     assert res and res.stats["length"] == 1
+
+
+# ---------------------------------------------------------------------------
+# cancellation: adding a W_k block to both sides neither creates nor
+# destroys isomorphism; the stabilized form's rank stays below 4, the
+# threshold past which the block-morphism complex is path connected
+# ---------------------------------------------------------------------------
+
+
+def stabilized_iso(M, N, k):
+    """(M + W_k ~ N + W_k, M ~ N, stabilized M + W_k)"""
+    MW = direct_sum(M, standard_w(k))
+    NW = direct_sum(N, standard_w(k))
+    return are_isomorphic(MW, NW), are_isomorphic(M, N), MW
+
+
+def test_cancellation_isomorphic_pair():
+    M = standard_w(3)
+    N, _ = scramble_form(M, random.Random(23))
+    with_block, direct, MW = stabilized_iso(M, N, 3)
+    assert with_block and direct
+    sr = stable_k_rank(MW, 3, g_max=2)
+    assert sr.value == 2
+    assert sr.certified
+    assert sr.value < 4
+
+
+def test_cancellation_distinct_pair():
+    with_block, direct, _ = stabilized_iso(standard_w(3), standard_w(9), 3)
+    assert not with_block and not direct
+
+
+def test_cancellation_direct_sum_pair():
+    M = w_power(3, 2)
+    N, _ = scramble_form(M, random.Random(4))
+    with_block, direct, MW = stabilized_iso(M, N, 3)
+    assert with_block and direct
+    # stabilized form is the cube: ranks 3,4,5 against g = 0,1,2
+    assert stable_k_rank(MW, 3, g_max=2).value == 3

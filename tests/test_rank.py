@@ -153,15 +153,6 @@ def test_stable_rank_w3_squared():
     assert res.certified
 
 
-@pytest.mark.parametrize("g,seed,expected", [(1, 23, 2), (2, 4, 3)])
-def test_stable_rank_of_a_stabilized_scramble(g, seed, expected):
-    """A scramble of W_3^g plus one W_3 has stable rank g + 1."""
-    M, _ = scramble_form(w_power(3, g), random.Random(seed))
-    res = stable_k_rank(direct_sum(M, standard_w(3)), 3, g_max=2)
-    assert res.value == expected
-    assert res.certified
-
-
 def test_stable_rank_monotone_padding():
     """Padding with a fresh block never lowers the stabilized value."""
     for form, g_max in ((standard_w(3), 3), (w_power(3, 2), 2)):
