@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, UnsupportedDegree
+from .errors import InputError, InvariantError, UnsupportedDegree
 from .qz import QZValue
 from .snf import _eliminate
 
@@ -122,9 +122,10 @@ def _omega_plain(j: int) -> AbGroupDescriptor:
 
 def _one_flank(coker: AbGroupDescriptor, kernel: AbGroupDescriptor) -> AbGroupDescriptor:
     # 0 -> coker -> G -> kernel -> 0 with one flank trivial: no extension
-    # ambiguity.
+    # ambiguity.  Degrees 0 and 1, the only ones that get here, always
+    # have a trivial flank.
     if not (coker.is_trivial() or kernel.is_trivial()):
-        raise UnsupportedDegree("both flanks nonzero: extension data unavailable")
+        raise InvariantError("both flanks nonzero: extension data unavailable")
     return kernel if coker.is_trivial() else coker
 
 
@@ -155,7 +156,8 @@ def omega_kl(j: int, k: int, l: int) -> AbGroupDescriptor:
     Both exact sequences are evaluated -- multiplication by k on the
     one-sided l-groups, and by l on the one-sided k-groups -- and the two
     answers are required to agree; the result is also cross-checked
-    against the closed form Z/gcd(k, l) in degrees 0 and 1.
+    against the closed form Z/gcd(k, l) in degrees 0 and 1.  A failure of
+    either check is a library fault (InvariantError), never bad input.
     """
     if j not in (0, 1):
         raise UnsupportedDegree(f"degree {j} is not supported (only 0 and 1)")
@@ -170,12 +172,12 @@ def omega_kl(j: int, k: int, l: int) -> AbGroupDescriptor:
     via_l = one_sequence(k, l)
     via_k = one_sequence(l, k)
     if via_l != via_k:
-        raise InputError(
+        raise InvariantError(
             f"the two exact sequences disagree: {via_l} vs {via_k}"
         )
     expected = AbGroupDescriptor.cyclic(math.gcd(k, l))
     if via_l != expected:
-        raise InputError(
+        raise InvariantError(
             f"exact-sequence result {via_l} contradicts the closed form {expected}"
         )
     return via_l

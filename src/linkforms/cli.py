@@ -107,6 +107,10 @@ def cmd_rank(args) -> tuple[dict, int]:
 
 
 def cmd_complex(args) -> tuple[dict, int]:
+    for flag, count in (("--homology-max-dim", args.homology_max_dim),
+                        ("--verify-links", args.verify_links)):
+        if count is not None and count < 0:
+            raise InputError(f"{flag} must be >= 0, got {count}")
     form = load_form(args.form_file)
     L = build_l_complex(
         form,
@@ -147,7 +151,8 @@ def cmd_complex(args) -> tuple[dict, int]:
         data["homology"] = {
             f"H_{d}": str(h) for d, h in sorted(H.degrees.items())
         }
-        data["euler"] = H.euler_from_faces()
+        if H.top_dim is not None:  # else the face counts stop at max_dim
+            data["euler"] = H.euler_from_faces()
     if args.verify_links:
         rng = random.Random(args.seed)
         n = min(args.verify_links, L.vertex_count)

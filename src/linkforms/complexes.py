@@ -22,7 +22,10 @@ import numpy as np
 from .errors import BudgetExhausted, CapExceeded, InputError
 from .snf import prime_factorization, smith_normal_form
 
+# Limits read at call time (tests monkeypatch them): simplices per
+# enumeration, and candidate sets per link-lifting check.
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
+LIFT_CHECK_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -30,43 +33,36 @@ DEFAULT_SIMPLEX_BUDGET = 2_000_000
 # ---------------------------------------------------------------------------
 
 
-class FlagComplex:
-    """Clique complex of a finite graph.
+def breadth_first(start, neighbours, goal=None) -> dict:
+    """Parent map of a breadth-first search from ``start``.
 
-    Vertices are hashable labels; the canonical vertex order is the order
-    of ``labels``, and every face is reported as a tuple sorted by that
-    order.
+    Each reached vertex maps to the vertex it was first reached from
+    (``start`` maps to None); vertices are expanded in discovery order and
+    their neighbours in the order ``neighbours(v)`` lists them, so the
+    chain of parents from any vertex is a shortest path back to ``start``.
+    The search stops as soon as ``goal`` is reached.
     """
+    parent = {start: None}
+    frontier = [start]
+    for u in frontier:  # grows while it is read: a first-in, first-out queue
+        for v in neighbours(u):
+            if v not in parent:
+                parent[v] = u
+                if v == goal:
+                    return parent
+                frontier.append(v)
+    return parent
 
-    def __init__(self, labels, adjacency):
+
+class _Complex:
+    """What both complex flavors share: the vertex labels in canonical
+    order, their index, and connectivity over the 1-skeleton."""
+
+    def __init__(self, labels):
         self.labels = tuple(labels)
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise InputError("vertex labels must be distinct")
-        adj = np.asarray(adjacency, dtype=bool)
-        if adj.shape != (n, n):
-            raise InputError("adjacency matrix has wrong shape")
-        if not np.array_equal(adj, adj.T):
-            raise InputError("adjacency matrix must be symmetric")
-        if n and adj.diagonal().any():
-            raise InputError("no loops allowed")
-        self.adj = adj
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-
-    @classmethod
-    def from_edges(cls, labels, edges) -> "FlagComplex":
-        labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise InputError("no loops allowed")
-            adj[index[u], index[v]] = True
-            adj[index[v], index[u]] = True
-        return cls(labels, adj)
-
-    # -- protocol ----------------------------------------------------------
+        if len(self._index) != len(self.labels):
+            raise InputError("vertex labels must be distinct")
 
     @property
     def vertices(self) -> tuple:
@@ -75,6 +71,56 @@ class FlagComplex:
     @property
     def n_vertices(self) -> int:
         return len(self.labels)
+
+    def _neighbours(self):
+        """Function from a vertex index to the indices of its neighbours."""
+        raise NotImplementedError
+
+    def components(self) -> list[set]:
+        """Vertex sets of the connected components, in order of their first
+        vertex."""
+        neighbours = self._neighbours()
+        seen: set[int] = set()
+        out = []
+        for start in range(self.n_vertices):
+            if start not in seen:
+                comp = breadth_first(start, neighbours)
+                seen.update(comp)
+                out.append({self.labels[i] for i in comp})
+        return out
+
+    def is_connected(self) -> bool:
+        return self.n_vertices > 0 and len(self.components()) == 1
+
+
+class FlagComplex(_Complex):
+    """Clique complex of a finite graph.
+
+    Vertices are hashable labels; the canonical vertex order is the order
+    of ``labels``, and every face is reported as a tuple sorted by that
+    order.
+    """
+
+    def __init__(self, labels, adjacency):
+        super().__init__(labels)
+        n = self.n_vertices
+        adj = np.asarray(adjacency, dtype=bool)
+        if adj.shape != (n, n):
+            raise InputError("adjacency matrix has wrong shape")
+        if not np.array_equal(adj, adj.T):
+            raise InputError("adjacency matrix must be symmetric")
+        if n and adj.diagonal().any():
+            raise InputError("no loops allowed")
+        self.adj = adj
+
+    @classmethod
+    def from_edges(cls, labels, edges) -> "FlagComplex":
+        labels = tuple(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
+        adj = np.zeros((len(labels), len(labels)), dtype=bool)
+        for u, v in edges:
+            adj[index[u], index[v]] = adj[index[v], index[u]] = True
+        return cls(labels, adj)  # which refuses loops
 
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
@@ -87,6 +133,10 @@ class FlagComplex:
 
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
+
+    def _neighbours(self):
+        adj = self.adj
+        return lambda i: np.flatnonzero(adj[i]).tolist()
 
     def faces_of_dim(self, d: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[tuple]:
         """All d-simplices (cliques on d+1 vertices), lexicographic."""
@@ -137,30 +187,8 @@ class FlagComplex:
         adj = self.adj[np.ix_(keep, keep)]
         return FlagComplex(labels, adj)
 
-    def components(self) -> list[set]:
-        seen = set()
-        out = []
-        for start in range(self.n_vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for j in np.nonzero(self.adj[i])[0]:
-                    j = int(j)
-                    if j not in comp:
-                        comp.add(j)
-                        frontier.append(j)
-            seen |= comp
-            out.append({self.labels[i] for i in comp})
-        return out
-
-    def is_connected(self) -> bool:
-        return self.n_vertices > 0 and len(self.components()) == 1
-
-    def to_dot(self, name: str = "complex") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph complex {"]
         for i, lab in enumerate(self.labels):
             lines.append(f'  v{i} [label="{lab}"];')
         for i in range(self.n_vertices):
@@ -171,7 +199,7 @@ class FlagComplex:
         return "\n".join(lines)
 
 
-class GeneralComplex:
+class GeneralComplex(_Complex):
     """Simplicial complex stored as its full (downward closed) face set.
 
     Intended for small fixtures given by maximal faces; complexes that are
@@ -179,36 +207,29 @@ class GeneralComplex:
     come through here.
     """
 
-    def __init__(self, maximal_faces, labels=None):
-        faces: set[frozenset] = set()
-        for mf in maximal_faces:
-            mf = frozenset(mf)
-            for r in range(1, len(mf) + 1):
-                for sub in itertools.combinations(sorted(mf, key=repr), r):
-                    faces.add(frozenset(sub))
-        if labels is None:
-            labelset = set()
-            for f in faces:
-                labelset |= f
-            try:
-                labels = tuple(sorted(labelset))
-            except TypeError:
-                labels = tuple(sorted(labelset, key=repr))
-        self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        for f in faces:
-            for v in f:
-                if v not in self._index:
-                    raise InputError(f"face vertex {v!r} missing from labels")
+    def __init__(self, maximal_faces):
+        faces = {
+            frozenset(sub)
+            for mf in map(frozenset, maximal_faces)
+            for r in range(1, len(mf) + 1)
+            for sub in itertools.combinations(mf, r)
+        }
+        labelset = set().union(*faces)
+        try:
+            labels = sorted(labelset)
+        except TypeError:
+            labels = sorted(labelset, key=repr)
+        super().__init__(labels)
         self.faces = faces
 
-    @property
-    def vertices(self) -> tuple:
-        return self.labels
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.labels)
+    def _subcomplex(self, faces: set) -> "GeneralComplex":
+        """The complex with the given (downward closed) subset of this
+        complex's faces, its vertices in this complex's order."""
+        out = GeneralComplex.__new__(GeneralComplex)
+        labelset = set().union(*faces)
+        _Complex.__init__(out, [v for v in self.labels if v in labelset])
+        out.faces = faces
+        return out
 
     def has_face(self, vs) -> bool:
         vs = frozenset(vs)
@@ -216,6 +237,15 @@ class GeneralComplex:
 
     def adjacent(self, u, v) -> bool:
         return u != v and frozenset((u, v)) in self.faces
+
+    def _neighbours(self):
+        nbrs: list[list[int]] = [[] for _ in self.labels]
+        for f in self.faces:
+            if len(f) == 2:
+                a, b = (self._index[v] for v in f)
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+        return nbrs.__getitem__
 
     def faces_of_dim(self, d: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[tuple]:
         if d < 0:
@@ -235,48 +265,13 @@ class GeneralComplex:
         sigma = frozenset(sigma)
         if sigma and sigma not in self.faces:
             raise InputError("sigma is not a simplex of the complex")
-        link_faces = [
-            f for f in self.faces if not (f & sigma) and (f | sigma) in self.faces
-        ] if sigma else list(self.faces)
-        keep = sorted(
-            {v for f in link_faces for v in f}, key=self._index.__getitem__
+        return self._subcomplex(
+            {f for f in self.faces if not (f & sigma) and (f | sigma) in self.faces}
         )
-        out = GeneralComplex([], labels=tuple(keep))
-        out.faces = set(link_faces)
-        return out
 
     def induced(self, vertex_subset) -> "GeneralComplex":
         keep = set(vertex_subset)
-        out = GeneralComplex([], labels=tuple(v for v in self.labels if v in keep))
-        out.faces = {f for f in self.faces if f <= keep}
-        return out
-
-    def components(self) -> list[set]:
-        nbrs = {v: set() for v in self.labels}
-        for f in self.faces:
-            if len(f) == 2:
-                a, b = tuple(f)
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-        seen = set()
-        out = []
-        for v in self.labels:
-            if v in seen:
-                continue
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                u = frontier.pop()
-                for w in nbrs[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            out.append(comp)
-        return out
-
-    def is_connected(self) -> bool:
-        return self.n_vertices > 0 and len(self.components()) == 1
+        return self._subcomplex({f for f in self.faces if f <= keep})
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +337,9 @@ def _boundary_matrix(faces_lo: list[tuple], faces_hi: list[tuple]) -> list[list[
     return mat
 
 
-def _homology_single(K, max_dim, budget) -> HomologyResult:
+def _homology_single(K, max_dim) -> HomologyResult:
     faces: dict[int, list[tuple]] = {}
+    budget = DEFAULT_SIMPLEX_BUDGET
     used = 0
     top = None
     d = 0
@@ -411,26 +407,27 @@ def _invariant_chain(factors) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
-def homology(K, max_dim: int | None = None, budget: int = DEFAULT_SIMPLEX_BUDGET) -> HomologyResult:
+def homology(K, max_dim: int | None = None) -> HomologyResult:
     """Unreduced integral homology in degrees <= max_dim (all degrees when
-    None), computed componentwise from boundary-matrix Smith normal forms.
+    None), computed componentwise from boundary-matrix Smith normal forms,
+    each component enumerating at most DEFAULT_SIMPLEX_BUDGET simplices.
 
     Splitting into connected components first keeps the matrices small;
     homology is additive over disjoint unions, and the components' torsion
-    factors are merged into one invariant-factor chain.
+    factors are merged into one invariant-factor chain.  ``top_dim`` is
+    None unless every component's enumeration reached an empty dimension.
     """
     comps = K.components()
     if len(comps) <= 1:
-        return _homology_single(K, max_dim, budget)
+        return _homology_single(K, max_dim)
     total_degrees: dict[int, list[int, list]] = {}
     counts: dict[int, int] = {}
     complete = True
-    top = None
+    tops = []
     for comp in comps:
-        res = _homology_single(K.induced(sorted(comp, key=repr)), max_dim, budget)
+        res = _homology_single(K.induced(sorted(comp, key=repr)), max_dim)
         complete &= res.complete
-        if res.top_dim is not None:
-            top = res.top_dim if top is None else max(top, res.top_dim)
+        tops.append(res.top_dim)
         for d, c in res.face_counts.items():
             counts[d] = counts.get(d, 0) + c
         for d, h in res.degrees.items():
@@ -441,10 +438,11 @@ def homology(K, max_dim: int | None = None, budget: int = DEFAULT_SIMPLEX_BUDGET
         d: DegreeHomology(betti=b, torsion=_invariant_chain(t))
         for d, (b, t) in total_degrees.items()
     }
+    top = None if None in tops else max(tops)
     return HomologyResult(degrees=degrees, face_counts=counts, complete=complete, top_dim=top)
 
 
-def homological_connectivity(K, n: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> bool:
+def homological_connectivity(K, n: int) -> bool:
     """Homological n-connectivity proxy.
 
     n <= -2: always true.  n = -1: nonempty.  n = 0: connected (exact).
@@ -461,7 +459,7 @@ def homological_connectivity(K, n: int, budget: int = DEFAULT_SIMPLEX_BUDGET) ->
         return False
     if n == 0:
         return True
-    res = homology(K, max_dim=n, budget=budget)
+    res = homology(K, max_dim=n)
     if not res.complete:
         raise BudgetExhausted(f"homology through degree {n} did not finish")
     return all(res.degrees[d].is_zero() for d in range(1, n + 1) if d in res.degrees)
@@ -487,23 +485,24 @@ class Verdict:
         return self.status == PASS
 
 
-def lcm_check(K, n: int, p_cap: int | None = None, budget: int = DEFAULT_SIMPLEX_BUDGET) -> Verdict:
+def lcm_check(K, n: int) -> Verdict:
     """Is the link of every p-simplex (n-p-2)-connected?
 
     Links of p-simplices with p > n - 1 face a level <= -2 requirement and
-    are vacuously fine, so p ranges over 0..min(p_cap, n-1); a p_cap below
-    n-1 leaves the check partial and the verdict INCONCLUSIVE.
+    are vacuously fine, so p ranges over 0..n-1.  The verdict is
+    INCONCLUSIVE when an enumeration needs more than DEFAULT_SIMPLEX_BUDGET
+    simplices.
     """
-    effective = n - 1 if p_cap is None else min(p_cap, n - 1)
+    budget = DEFAULT_SIMPLEX_BUDGET
     checked = 0
     try:
-        for p in range(0, effective + 1):
+        for p in range(0, n):
             for sigma in K.faces_of_dim(p, budget=budget):
                 checked += 1
                 if checked > budget:
                     raise BudgetExhausted("simplex budget exhausted")
                 link = K.link_of(sigma)
-                if not homological_connectivity(link, n - p - 2, budget=budget):
+                if not homological_connectivity(link, n - p - 2):
                     return Verdict(
                         FAIL,
                         detail=f"link of {sigma} is not {n - p - 2}-connected",
@@ -512,12 +511,6 @@ def lcm_check(K, n: int, p_cap: int | None = None, budget: int = DEFAULT_SIMPLEX
                     )
     except (BudgetExhausted, CapExceeded) as exc:
         return Verdict(INCONCLUSIVE, detail=str(exc), stats={"checked": checked})
-    if p_cap is not None and p_cap < n - 1:
-        return Verdict(
-            INCONCLUSIVE,
-            detail=f"only p <= {p_cap} checked; need p <= {n - 1}",
-            stats={"checked": checked},
-        )
     return Verdict(PASS, detail=f"all links to level {n} verified", stats={"checked": checked})
 
 
@@ -593,11 +586,7 @@ def _general_position_subsets(candidates, rel: SymRelation | None, cap: int):
     return out
 
 
-def check_link_lifting(
-    f: SimplicialMap,
-    rel: SymRelation | None = None,
-    budget: int = 200_000,
-) -> Verdict:
+def check_link_lifting(f: SimplicialMap, rel: SymRelation | None = None) -> Verdict:
     """Exhaustive check of the link lifting property on finite complexes.
 
     Plain version (rel None): for every target vertex y and every vertex
@@ -611,9 +600,11 @@ def check_link_lifting(
     fixed A the quantifier over B collapses to the single worst case
     B = all vertices of the source, because a lift that works there works
     for every smaller B; the relation need not be reflexive, so this worst
-    case genuinely constrains x.
+    case genuinely constrains x.  The verdict is INCONCLUSIVE past
+    LIFT_CHECK_BUDGET candidate sets.
     """
     X, Y = f.source, f.target
+    budget = LIFT_CHECK_BUDGET
     if rel is not None and not rel.is_edge_compatible():
         raise InputError("relation is not edge compatible")
     checked = 0
@@ -666,7 +657,7 @@ def check_link_lifting(
     return Verdict(PASS, detail="all lifts found", stats={"checked": checked})
 
 
-def preserves_links(f: SimplicialMap, budget: int = DEFAULT_SIMPLEX_BUDGET) -> bool:
+def preserves_links(f: SimplicialMap) -> bool:
     """f(lk(zeta)) inside lk(f(zeta)) for every simplex zeta of the source.
 
     Fails in particular when a link vertex collapses into f(zeta) itself,
@@ -675,7 +666,7 @@ def preserves_links(f: SimplicialMap, budget: int = DEFAULT_SIMPLEX_BUDGET) -> b
     X, Y = f.source, f.target
     d = 0
     while True:
-        faces = X.faces_of_dim(d, budget=budget)
+        faces = X.faces_of_dim(d, budget=DEFAULT_SIMPLEX_BUDGET)
         if not faces:
             return True
         for zeta in faces:
@@ -725,25 +716,12 @@ def action_transitivity(K, generators) -> TransitivityReport:
     # Orbits under the generated group: closure under all generators and
     # inverses.
     orbits = []
-    seen = set()
-    for v in K.vertices:
-        if v in seen:
-            continue
-        orb = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for g in perms:
-                w = g[u]
-                if w not in orb:
-                    orb.add(w)
-                    frontier.append(w)
-        seen |= orb
-        orbits.append(orb)
     orbit_of = {}
-    for orb in orbits:
-        for v in orb:
-            orbit_of[v] = id(orb)
+    for v in K.vertices:
+        if v not in orbit_of:
+            orb = set(breadth_first(v, lambda u: [g[u] for g in perms]))
+            orbit_of.update(dict.fromkeys(orb, len(orbits)))
+            orbits.append(orb)
     edge_hyp = all(
         orbit_of[u] == orbit_of[v] for u, v in K.faces_of_dim(1)
     )
@@ -768,7 +746,7 @@ def action_transitivity(K, generators) -> TransitivityReport:
 # ---------------------------------------------------------------------------
 
 
-def relative_homology(X, y_labels, max_dim: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> dict[int, DegreeHomology]:
+def relative_homology(X, y_labels, max_dim: int) -> dict[int, DegreeHomology]:
     """H_d(X, Y) for the full subcomplex Y spanned by ``y_labels``.
 
     Computed from the relative chain complex: the degree-d basis is the
@@ -778,7 +756,7 @@ def relative_homology(X, y_labels, max_dim: int, budget: int = DEFAULT_SIMPLEX_B
     """
     yset = set(y_labels)
     rel_faces = {
-        d: [f for f in X.faces_of_dim(d, budget=budget) if not set(f) <= yset]
+        d: [f for f in X.faces_of_dim(d, budget=DEFAULT_SIMPLEX_BUDGET) if not set(f) <= yset]
         for d in range(0, max_dim + 2)
     }
     return _assemble(rel_faces, complete=True, top=None, max_dim=max_dim).degrees
@@ -792,7 +770,7 @@ class InclusionReport:
     relative: dict[int, DegreeHomology] | None
 
 
-def inclusion_connectivity_harness(X, y_labels, n: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> InclusionReport:
+def inclusion_connectivity_harness(X, y_labels, n: int) -> InclusionReport:
     """Test the inclusion-connectivity criterion on a full subcomplex.
 
     Hypothesis: for every p-simplex sigma of X (p <= n suffices; higher p
@@ -803,17 +781,17 @@ def inclusion_connectivity_harness(X, y_labels, n: int, budget: int = DEFAULT_SI
     """
     yset = set(y_labels)
     for p in range(0, n + 1):
-        for sigma in X.faces_of_dim(p, budget=budget):
+        for sigma in X.faces_of_dim(p, budget=DEFAULT_SIMPLEX_BUDGET):
             link = X.link_of(sigma)
             sub = link.induced([v for v in link.vertices if v in yset])
-            if not homological_connectivity(sub, n - p - 1, budget=budget):
+            if not homological_connectivity(sub, n - p - 1):
                 return InclusionReport(
                     hypothesis_holds=False,
                     first_violation=sigma,
                     conclusion_holds=None,
                     relative=None,
                 )
-    rel = relative_homology(X, yset, max_dim=n, budget=budget)
+    rel = relative_homology(X, yset, max_dim=n)
     ok = all(rel[d].is_zero() for d in range(0, n + 1))
     return InclusionReport(
         hypothesis_holds=True, first_violation=None, conclusion_holds=ok, relative=rel

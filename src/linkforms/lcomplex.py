@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .complexes import FlagComplex
+from .complexes import FlagComplex, breadth_first
 from .errors import BudgetExhausted, CapExceeded, InputError, InvariantError
 from .forms import (
     FormMorphism,
@@ -138,21 +138,16 @@ class LComplex:
         except KeyError:
             raise InputError("morphism is not a vertex of this complex") from None
 
-    def edge_count(self) -> int:
+    def _materialized_flag(self, query: str) -> FlagComplex:
         if not self.materialized:
-            raise CapExceeded(
-                "edge count requires materialization",
-                needed=self.vertex_count,
-            )
-        return self.flag.edge_count()
+            raise CapExceeded(f"{query} requires materialization", needed=self.vertex_count)
+        return self.flag
+
+    def edge_count(self) -> int:
+        return self._materialized_flag("edge count").edge_count()
 
     def components(self) -> list[set]:
-        if not self.materialized:
-            raise CapExceeded(
-                "component analysis requires materialization",
-                needed=self.vertex_count,
-            )
-        return self.flag.components()
+        return self._materialized_flag("component analysis").components()
 
     def complement_of(self, f: FormMorphism) -> Subform:
         return orthogonal_complement(self.form, f.image_subgroup)
@@ -420,23 +415,15 @@ class WitnessResult:
 
 
 def _bfs_path(L: LComplex, i0: int, i1: int) -> list[int] | None:
-    prev = {i0: None}
-    frontier = [i0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(L.flag.adj[u])[0]:
-                v = int(v)
-                if v not in prev:
-                    prev[v] = u
-                    if v == i1:
-                        path = [v]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(v)
-        frontier = nxt
-    return None
+    """A shortest path of vertex indices from i0 to i1 in the materialized
+    complex, or None when they lie in different components."""
+    parent = breadth_first(i0, L.flag._neighbours(), goal=i1)
+    if i1 not in parent:
+        return None
+    path = [i1]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def transitivity_witness(L: LComplex, f0, f1, path=None) -> WitnessResult:

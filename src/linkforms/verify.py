@@ -79,22 +79,11 @@ class CriterionResult:
     passed: bool
     detail: str
     stats: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    seconds: float = 0.0  # wall time, set by run_suite
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"[{verdict}] {self.number:>2}. {self.name}: {self.detail} ({self.seconds:.1f}s)"
-
-
-def _result(number, name, passed, detail, stats, t0) -> CriterionResult:
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=passed,
-        detail=detail,
-        stats=stats,
-        seconds=time.time() - t0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +92,6 @@ def _result(number, name, passed, detail, stats, t0) -> CriterionResult:
 
 
 def split_injectivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     form = w_power(3, 2)
     morphs = morphisms_from_w(form, 3, cap=5000)
     failures = 0
@@ -121,8 +109,8 @@ def split_injectivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> Cr
             first_bad = first_bad or f.key()
     passed = failures == 0 and len(morphs) == 2160
     detail = f"{len(morphs)} morphisms, {failures} failures"
-    return _result(1, "split-injectivity", passed, detail,
-                   {"morphisms": len(morphs), "failures": failures, "first_bad": first_bad}, t0)
+    return CriterionResult(1, "split-injectivity", passed, detail,
+                           {"morphisms": len(morphs), "failures": failures, "first_bad": first_bad})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +119,6 @@ def split_injectivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> Cr
 
 
 def classification(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     trials = 200
     mismatches = 0
@@ -149,8 +136,8 @@ def classification(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
             false_isos += 1
     passed = mismatches == 0 and false_isos == 0
     detail = f"{trials} scrambles recovered, {mismatches} mismatches, {false_isos} false isomorphisms"
-    return _result(2, "classification", passed, detail,
-                   {"trials": trials, "mismatches": mismatches, "false_isos": false_isos}, t0)
+    return CriterionResult(2, "classification", passed, detail,
+                           {"trials": trials, "mismatches": mismatches, "false_isos": false_isos})
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +146,6 @@ def classification(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
 
 
 def aut_orbit(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     failures = 0
     total = 0
     for g in (2, 3):
@@ -176,7 +162,7 @@ def aut_orbit(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionR
                 failures += 1
     passed = failures == 0 and total == 81 + 729
     detail = f"{total} vectors, {failures} failures"
-    return _result(3, "aut-orbit", passed, detail, {"vectors": total, "failures": failures}, t0)
+    return CriterionResult(3, "aut-orbit", passed, detail, {"vectors": total, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +182,6 @@ def _all_homs_to_c3(form):
 
 
 def rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     budget = 500_000 if budget is None else budget
     failures = 0
     total = 0
@@ -204,8 +189,8 @@ def rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
     for form in (w_power(3, 2), direct_sum(standard_w(3), standard_w(9))):
         base = k_rank(form, 3, budget=budget)
         if not base.certified:
-            return _result(4, "rank-reduction", False,
-                           "base rank uncertified", {"form": str(form.group.orders)}, t0)
+            return CriterionResult(4, "rank-reduction", False,
+                                   "base rank uncertified", {"form": str(form.group.orders)})
         for phi in _all_homs_to_c3(form):
             total += 1
             ker = kernel_form(form, phi)
@@ -214,9 +199,9 @@ def rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
                 failures += 1
         details.append(f"orders {form.group.orders}: base {base.value}")
     passed = failures == 0
-    return _result(4, "rank-reduction", passed,
-                   f"{total} kernels checked, {failures} failures ({'; '.join(details)})",
-                   {"kernels": total, "failures": failures}, t0)
+    return CriterionResult(4, "rank-reduction", passed,
+                           f"{total} kernels checked, {failures} failures ({'; '.join(details)})",
+                           {"kernels": total, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +210,6 @@ def rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
 
 
 def stable_rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     budget = 500_000 if budget is None else budget
     form = w_power(3, 2)
     base = stable_k_rank(form, 3, g_max=2, budget=budget)
@@ -244,9 +228,9 @@ def stable_rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -
         f"{len(morphs)} complements (>= {base.value - 1} needed), "
         f"{len(by_nf)} distinct complement types, {failures} failures"
     )
-    return _result(5, "stable-rank-reduction", passed, detail,
-                   {"base": base.value, "types": {str(k): v for k, v in by_nf.items()},
-                    "failures": failures}, t0)
+    return CriterionResult(5, "stable-rank-reduction", passed, detail,
+                           {"base": base.value, "types": {str(k): v for k, v in by_nf.items()},
+                            "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +239,6 @@ def stable_rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -
 
 
 def base_case(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     L2 = build_l_complex(w_power(3, 2), 3)
     ok = L2.vertex_count == 2160 == w_power_vertex_count(3, 2)
@@ -273,9 +256,9 @@ def base_case(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionR
             lengths.append(len(res.path) - 1)
     ok &= failures == 0 and not L4.materialized
     detail = f"2160 vertices exact; 500 paths, {failures} failures, max length {max(lengths) if lengths else '-'}"
-    return _result(6, "base-case", ok, detail,
-                   {"failures": failures, "length_histogram":
-                    {str(n): lengths.count(n) for n in sorted(set(lengths))}}, t0)
+    return CriterionResult(6, "base-case", ok, detail,
+                           {"failures": failures, "length_histogram":
+                            {str(n): lengths.count(n) for n in sorted(set(lengths))}})
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +267,6 @@ def base_case(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionR
 
 
 def link_iso(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     failures = 0
     L2 = build_l_complex(w_power(3, 2), 3)
@@ -302,7 +284,7 @@ def link_iso(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionRe
             failures += 1
     passed = failures == 0
     detail = f"50 vertex links + 20 edge links, {failures} failures"
-    return _result(7, "link-iso", passed, detail, {"failures": failures}, t0)
+    return CriterionResult(7, "link-iso", passed, detail, {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +293,6 @@ def link_iso(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionRe
 
 
 def transitivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     L2 = build_l_complex(w_power(3, 2), 3)
     comps = [sorted(c) for c in L2.components()]
@@ -331,8 +312,8 @@ def transitivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criteri
                 break
     passed = failures == 0
     detail = f"100 same-component pairs, {failures} failures"
-    return _result(8, "transitivity", passed, detail,
-                   {"components": len(comps), "failures": failures}, t0)
+    return CriterionResult(8, "transitivity", passed, detail,
+                           {"components": len(comps), "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +322,6 @@ def transitivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criteri
 
 
 def cancellation(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     failures = 0
     for _ in range(100):
@@ -364,7 +344,7 @@ def cancellation(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criteri
             failures += 1
     passed = failures == 0
     detail = f"100 isomorphic + 100 distinct pairs, {failures} failures"
-    return _result(9, "cancellation", passed, detail, {"failures": failures}, t0)
+    return CriterionResult(9, "cancellation", passed, detail, {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,6 @@ def cancellation(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criteri
 
 
 def bordism_tables(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     failures = 0
     for k in range(2, 21):
         if bordism.omega_k(0, k) != bordism.AbGroupDescriptor.cyclic(k):
@@ -386,9 +365,9 @@ def bordism_tables(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
                 if bordism.omega_kl(j, k, l) != want:
                     failures += 1
     passed = failures == 0
-    return _result(10, "bordism-tables", passed,
-                   f"k,l in 2..20, degrees 0 and 1, {failures} failures",
-                   {"failures": failures}, t0)
+    return CriterionResult(10, "bordism-tables", passed,
+                           f"k,l in 2..20, degrees 0 and 1, {failures} failures",
+                           {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +376,6 @@ def bordism_tables(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crite
 
 
 def ak_calculus(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     failures = 0
     for _ in range(1000):
@@ -427,9 +405,9 @@ def ak_calculus(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criterio
         if (t.num, t.den) != (1, k):
             failures += 1
     passed = failures == 0
-    return _result(11, "ak-calculus", passed,
-                   f"1000 unions + gcd table + t_k normalization, {failures} failures",
-                   {"failures": failures}, t0)
+    return CriterionResult(11, "ak-calculus", passed,
+                           f"1000 unions + gcd table + t_k normalization, {failures} failures",
+                           {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +416,6 @@ def ak_calculus(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criterio
 
 
 def homology_engine(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     failures = 0
     details = []
     for n in range(2, 6):
@@ -474,9 +451,9 @@ def homology_engine(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crit
     if not (H1.euler_from_betti() == H1.euler_from_faces() == 24):
         failures += 1
     passed = failures == 0
-    return _result(12, "homology-engine", passed,
-                   f"spheres to dim 4, projective plane, Euler checks; {failures} failures ({'; '.join(details)})",
-                   {"failures": failures}, t0)
+    return CriterionResult(12, "homology-engine", passed,
+                           f"spheres to dim 4, projective plane, Euler checks; {failures} failures ({'; '.join(details)})",
+                           {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +462,6 @@ def homology_engine(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crit
 
 
 def harnesses(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     failures = 0
     inc_instances = hyp_holds = 0
@@ -526,8 +502,8 @@ def harnesses(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionR
     detail = (f"inclusion {hyp_holds}/{inc_instances} hypotheses held, "
               f"lifting implication fired {implication_checked}x, "
               f"actions {act_hyp}/{act_instances} hypotheses held; {failures} failures")
-    return _result(13, "harnesses", passed, detail,
-                   {"failures": failures, "lift_pass": lift_pass}, t0)
+    return CriterionResult(13, "harnesses", passed, detail,
+                           {"failures": failures, "lift_pass": lift_pass})
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +531,11 @@ SUITES = {
 def run_suite(name: str, seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return SUITES[name](seed=seed, budget=budget)
+    t0 = time.perf_counter()
+    result = SUITES[name](seed=seed, budget=budget)
+    result.seconds = time.perf_counter() - t0
+    return result
 
 
 def run_all(seed: int = DEFAULT_SEED, budget: int | None = None) -> list[CriterionResult]:
-    return [fn(seed=seed, budget=budget) for fn in SUITES.values()]
+    return [run_suite(name, seed, budget) for name in SUITES]

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from linkforms import (
     AbGroupDescriptor,
     InputError,
+    InvariantError,
     KKManifold1,
     QZValue,
     UnsupportedDegree,
@@ -18,6 +19,7 @@ from linkforms import (
     omega_kl,
     t_k,
 )
+from linkforms import bordism
 from linkforms.bordism import _from_presentation
 
 
@@ -103,6 +105,23 @@ def test_unsupported_degrees(j):
         omega_k(j, 3)
     with pytest.raises(UnsupportedDegree):
         omega_kl(j, 3, 3)
+
+
+@pytest.mark.parametrize("wrong,match", [
+    (lambda G: G, "disagree"),
+    (lambda G: AbGroupDescriptor.cyclic(7), "contradicts"),
+])
+def test_inconsistent_sequences_are_invariant_errors(monkeypatch, wrong, match):
+    """A kernel computation that goes wrong on torsion groups makes the two
+    exact sequences of degree 1 disagree, or agree on a group other than
+    Z/gcd(k, l): a library fault, not bad input."""
+    real = bordism.multiplication_kernel
+    monkeypatch.setattr(
+        bordism, "multiplication_kernel",
+        lambda G, k: wrong(G) if G.torsion else real(G, k),
+    )
+    with pytest.raises(InvariantError, match=match):
+        omega_kl(1, 6, 4)
 
 
 def test_degenerate_levels_rejected():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -202,6 +204,26 @@ def test_complex_homology_of_discrete_level(files, capsys):
     assert report["data"]["euler"] == 24
 
 
+def test_complex_euler_needs_the_top_dimension(tmp_path, capsys):
+    """W_2^2's complex at k = 2 has edges, so homology cut at degree 0
+    leaves its top dimension unknown and a face-count Euler characteristic
+    would be a partial sum; the report leaves it out."""
+    p = tmp_path / "w2sq.json"
+    p.write_text(json.dumps(form_to_document(w_power(2, 2))))
+    code, report = run_json(capsys, "complex", str(p), "2", "--homology-max-dim", "0")
+    assert code == 0
+    assert report["data"]["homology"] == {"H_0": "Z^10"}
+    assert "euler" not in report["data"]
+
+
+@pytest.mark.parametrize("flag", ["--verify-links", "--homology-max-dim"])
+def test_complex_negative_count_exits_2(files, capsys, flag):
+    code, report = run_json(capsys, "complex", files["w3"], "3", flag, "-1")
+    assert code == 2
+    assert report["data"]["kind"] == "InputError"
+    assert flag in report["data"]["error"]
+
+
 def test_complex_force_materialize_exits_5(files, capsys):
     code, report = run_json(
         capsys,
@@ -253,6 +275,16 @@ def test_bordism_degree_two_exits_6(files, capsys):
     assert report["data"]["kind"] == "UnsupportedDegree"
 
 
+def test_bordism_inconsistent_sequences_exit_7(files, capsys, monkeypatch):
+    """A wrong kernel is a library fault (exit 7), not malformed input."""
+    import linkforms.bordism as bordism
+
+    monkeypatch.setattr(bordism, "multiplication_kernel", lambda G, k: bordism.AbGroupDescriptor.cyclic(7))
+    code, report = run_json(capsys, "bordism", "0", "6", "4")
+    assert code == 7
+    assert report["data"]["kind"] == "InvariantError"
+
+
 def test_bordism_manifold_report(files, capsys):
     code, out, _ = run(capsys, "bordism", "--manifold", files["manifold"])
     assert code == 0
@@ -285,6 +317,13 @@ def test_verify_single_suite(files, capsys):
     (entry,) = report["data"]["criteria"]
     assert entry["name"] == "bordism-tables"
     assert entry["passed"] is True
+
+
+def test_verify_times_suites_with_perf_counter(monkeypatch):
+    """Suite times come from the monotonic clock, read around the suite."""
+    ticks = iter([10.0, 12.5])
+    monkeypatch.setattr(verify_mod, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    assert verify_mod.run_suite("bordism-tables").seconds == 2.5
 
 
 def test_verify_unknown_suite_exits_2(files, capsys):
@@ -442,3 +481,36 @@ def test_invariant_violation_fires_under_python_O(w3_fourth):
     )
     assert proc.returncode == 7, proc.stderr
     assert json.loads(proc.stderr)["data"]["kind"] == "InvariantError"
+
+
+# ---------------------------------------------------------------------------
+# frozen reports
+# ---------------------------------------------------------------------------
+
+# sha256 of the --json report of each invocation on the fixture documents,
+# with verify's wall-time "seconds" fields removed.  A change that promises
+# unchanged answers must leave every digest as it is.
+FROZEN_REPORTS = {
+    ("classify", "mixed"): "b5976f53b55ba896",
+    ("rank", "w3sq", "3"): "516059666a801cd4",
+    ("rank", "w3", "3", "--stable", "--gmax", "2"): "a9c7abc37909e772",
+    ("complex", "w3sq", "3", "--verify-links", "3", "--seed", "5", "--path", "0", "777"): "a0213d5a7b66bae7",
+    ("complex", "w3", "3", "--homology-max-dim", "0"): "4fae151d731b0ffa",
+    ("complex", "w3_fourth", "3", "--path", "1", "2"): "70757f5ffa35207e",
+    ("bordism", "1", "3", "3"): "cd51642837ea9623",
+    ("bordism", "0", "6"): "08bd8ed30bdef478",
+    ("bordism", "--manifold", "manifold"): "285a6ff29d620906",
+    ("verify", "bordism-tables"): "a0d966388d477f18",
+    ("verify", "ak-calculus"): "532794d909ba9af7",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_REPORTS), ids=" ".join)
+def test_frozen_report(files, w3_fourth, capsys, argv):
+    paths = {**files, "w3_fourth": w3_fourth}
+    _, report = run_json(capsys, *(paths.get(a, a) for a in argv))
+    for entry in report["data"].get("criteria", []):
+        del entry["seconds"]
+    blob = json.dumps(report, sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert digest == FROZEN_REPORTS[argv], f"report {digest} changed: {blob}"

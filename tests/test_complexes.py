@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,8 @@ from linkforms import (
     preserves_links,
     relative_homology,
 )
-from linkforms.corpus import disjoint_double, random_flag_complex
+from linkforms import complexes
+from linkforms.corpus import disjoint_double, random_action_instance, random_flag_complex
 from linkforms.verify import RP2_FACES
 
 
@@ -244,6 +246,18 @@ def test_torsion_is_one_chain_across_components():
     assert relative_homology(disjoint, [], max_dim=1)[1].torsion == (6,)
 
 
+def test_top_dim_is_none_when_any_component_is_cut_off():
+    """max_dim = 0 cuts off the solid tetrahedron's enumeration, so its top
+    dimension is unknown, alone or next to an isolated point."""
+    tetra = GeneralComplex([(0, 1, 2, 3)])
+    with_point = GeneralComplex([(0, 1, 2, 3), (4,)])
+    assert homology(tetra, max_dim=0).top_dim is None
+    assert homology(with_point, max_dim=0).top_dim is None
+    assert homology(with_point).top_dim == 3
+    points = GeneralComplex([(0,), (1,)])
+    assert homology(points, max_dim=0).top_dim == 0
+
+
 def test_homology_additive_over_components():
     K = cycle_graph(5)
     D, _ = disjoint_double(K)
@@ -331,9 +345,15 @@ def test_lcm_check_small_cases():
     assert lcm_check(two_edges, 1).status == PASS
 
 
-def test_lcm_check_inconclusive_on_partial_cap():
-    verdict = lcm_check(complete_graph(5), 2, p_cap=0)
-    assert verdict.status == INCONCLUSIVE
+def test_limits_are_read_at_call_time(monkeypatch):
+    """The simplex and lifting budgets are module constants that a check
+    reads when it runs; past them the verdict is INCONCLUSIVE."""
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", 4)
+    assert lcm_check(complete_graph(5), 2).status == INCONCLUSIVE
+    K = octahedron()
+    f = SimplicialMap(K, K, {v: v for v in K.vertices})
+    monkeypatch.setattr(complexes, "LIFT_CHECK_BUDGET", 3)
+    assert check_link_lifting(f, SymRelation.complete(K)).status == INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +485,28 @@ def test_reflection_orbits_merge_with_rotation():
     assert rep2.single_orbit
 
 
+def _nx_components(vertices, edges):
+    G = nx.Graph()
+    G.add_nodes_from(vertices)
+    G.add_edges_from(edges)
+    return list(nx.connected_components(G))
+
+
+def test_components_and_orbits_match_networkx():
+    """Components and orbits are networkx's connected components, listed
+    in order of their first vertex."""
+    rng = random.Random(11)
+    for _ in range(40):
+        K = random_flag_complex(rng, n_min=1, n_max=14, p=0.2)
+        edges = K.faces_of_dim(1)
+        assert K.components() == _nx_components(K.vertices, edges)
+        G = GeneralComplex(edges + [(v,) for v in K.vertices])
+        assert G.components() == _nx_components(G.vertices, edges)
+        K, gens = random_action_instance(rng)
+        moves = [(v, g[v]) for g in gens for v in K.vertices]
+        assert action_transitivity(K, gens).orbits == _nx_components(K.vertices, moves)
+
+
 # ---------------------------------------------------------------------------
 # relative homology and the inclusion harness
 # ---------------------------------------------------------------------------
@@ -542,7 +584,8 @@ def test_inclusion_harness_never_contradicts(seed):
             assert rep.conclusion_holds
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", 50)
     K = complete_graph(12)
     with pytest.raises(BudgetExhausted):
-        homological_connectivity(K, 5, budget=50)
+        homological_connectivity(K, 5)

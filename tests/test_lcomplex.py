@@ -33,7 +33,7 @@ from linkforms import (
 from linkforms._kernels import fits_int64
 from linkforms.corpus import scramble_form
 from linkforms import lcomplex
-from linkforms.lcomplex import _ambient_link_keys, _orthogonal_rows
+from linkforms.lcomplex import _ambient_link_keys, _bfs_path, _orthogonal_rows
 
 
 def w_power(k, g):
@@ -545,6 +545,37 @@ def test_witness_by_bfs_same_component(L2):
     m0, m1 = L2.vertex(i), L2.vertex(j)
     h = res.automorphism
     assert h(m0.x) == m1.x and h(m0.y) == m1.y
+
+
+def _level_order_path(adj, i0, i1):
+    """Shortest path from i0 to i1 by a level-by-level search that expands
+    each level in discovery order and neighbours in ascending order: the
+    oracle for ``_bfs_path``."""
+    prev = {i0: None}
+    level = [i0]
+    while level:
+        nxt = []
+        for u in level:
+            for v in map(int, np.nonzero(adj[u])[0]):
+                if v not in prev:
+                    prev[v] = u
+                    if v == i1:
+                        path = [v]
+                        while prev[path[-1]] is not None:
+                            path.append(prev[path[-1]])
+                        return path[::-1]
+                    nxt.append(v)
+        level = nxt
+    return None
+
+
+def test_bfs_path_matches_level_order_oracle(L2):
+    rng = random.Random(4)
+    comps = [sorted(c) for c in L2.components()]
+    pairs = [tuple(rng.sample(rng.choice(comps), 2)) for _ in range(40)]
+    pairs += [(sorted(comps[0])[0], sorted(comps[1])[0])]
+    for i, j in pairs:
+        assert _bfs_path(L2, i, j) == _level_order_path(L2.flag.adj, i, j)
 
 
 def test_witness_cross_component_fails(L2):
