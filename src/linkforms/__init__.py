@@ -24,10 +24,12 @@ from .snf import (
     smith_normal_form,
 )
 from .groups import (
+    AbGroupDescriptor,
     FinAbGroup,
     GroupElement,
     GroupHom,
     Subgroup,
+    invariant_chain,
     solve_affine_congruence_system,
     solve_congruence_system,
 )
@@ -60,7 +62,6 @@ from .complexes import (
     FAIL,
     INCONCLUSIVE,
     PASS,
-    DegreeHomology,
     FlagComplex,
     GeneralComplex,
     HomologyResult,
@@ -91,7 +92,6 @@ from .lcomplex import (
     w_power_vertex_count,
 )
 from .bordism import (
-    AbGroupDescriptor,
     KKManifold1,
     admits_swapping_involution,
     is_generator,

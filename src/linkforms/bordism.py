@@ -14,57 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, UnsupportedDegree
+from .groups import AbGroupDescriptor, invariant_chain
 from .qz import QZValue
 from .snf import _eliminate
 
 
 # ---------------------------------------------------------------------------
-# Finitely generated abelian groups, just enough for the exact sequences
+# Groups from presentations, and multiplication by k
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AbGroupDescriptor:
-    """Z^free_rank plus cyclic torsion in a divisibility chain."""
-
-    free_rank: int
-    torsion: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise InputError("negative free rank")
-        prev = 1
-        for t in self.torsion:
-            if t < 2 or t % prev != 0:
-                raise InputError("torsion coefficients must form a divisibility chain")
-            prev = t
-
-    @classmethod
-    def trivial(cls) -> "AbGroupDescriptor":
-        return cls(0, ())
-
-    @classmethod
-    def free(cls, rank: int) -> "AbGroupDescriptor":
-        return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, n: int) -> "AbGroupDescriptor":
-        if n < 1:
-            raise InputError("cyclic order must be >= 1")
-        return cls(0, ()) if n == 1 else cls(0, (n,))
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
 
 def _from_presentation(n_gens: int, relation_columns: list[list[int]]) -> AbGroupDescriptor:
     """Z^n_gens modulo the column span of the relations."""
@@ -101,9 +58,7 @@ def multiplication_kernel(G: AbGroupDescriptor, k: int) -> AbGroupDescriptor:
     """
     if k == 0:
         return G
-    factors = sorted(math.gcd(k, t) for t in G.torsion)
-    torsion = tuple(t for t in factors if t > 1)
-    return AbGroupDescriptor(0, torsion)
+    return AbGroupDescriptor(0, invariant_chain(math.gcd(k, t) for t in G.torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ def cmd_rank(args) -> tuple[dict, int]:
 
 def cmd_complex(args) -> tuple[dict, int]:
     for flag, count in (("--homology-max-dim", args.homology_max_dim),
-                        ("--verify-links", args.verify_links)):
+                        ("--verify-links", args.verify_links),
+                        ("--materialize-cap", args.materialize_cap)):
         if count is not None and count < 0:
             raise InputError(f"{flag} must be >= 0, got {count}")
     form = load_form(args.form_file)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExhausted, CapExceeded, InputError
-from .snf import prime_factorization, smith_normal_form
+from .groups import AbGroupDescriptor
+from .snf import smith_normal_form
 
 # Limits read at call time (tests monkeypatch them): simplices per
 # enumeration, and candidate sets per link-lifting check.
@@ -279,29 +280,6 @@ class GeneralComplex(_Complex):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeHomology:
-    """H_d as Z^betti plus torsion, given as its invariant-factor chain:
-    ascending, each factor above 1 and dividing the next."""
-
-    betti: int
-    torsion: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return self.betti == 0 and not self.torsion
-
-    def __str__(self) -> str:
-        parts = []
-        if self.betti == 1:
-            parts.append("Z")
-        elif self.betti > 1:
-            parts.append(f"Z^{self.betti}")
-        for t, group in itertools.groupby(self.torsion):
-            m = len(list(group))
-            parts.append(f"Z/{t}" if m == 1 else f"(Z/{t})^{m}")
-        return " + ".join(parts) if parts else "0"
-
-
 @dataclass
 class HomologyResult:
     """Unreduced integral homology per degree.
@@ -311,7 +289,7 @@ class HomologyResult:
     inside the budget and are missing from ``degrees``.
     """
 
-    degrees: dict[int, DegreeHomology]
+    degrees: dict[int, AbGroupDescriptor]
     face_counts: dict[int, int]
     complete: bool
     top_dim: int | None
@@ -381,30 +359,13 @@ def _assemble(faces, complete, top, max_dim) -> HomologyResult:
         n_d = len(faces[d])
         rank_d = ranks.get(d, 0) if d > 0 else 0
         betti = n_d - rank_d - ranks[d + 1]
-        degrees[d] = DegreeHomology(betti=betti, torsion=tors[d])
+        degrees[d] = AbGroupDescriptor(betti, tors[d])
     for d in range(len(dims), limit + 1):
-        degrees[d] = DegreeHomology(betti=0, torsion=())
+        degrees[d] = AbGroupDescriptor.trivial()
     counts = {d: len(fs) for d, fs in faces.items()}
     return HomologyResult(
         degrees=degrees, face_counts=counts, complete=complete, top_dim=top
     )
-
-
-def _invariant_chain(factors) -> tuple[int, ...]:
-    """Invariant factors of the sum of the cyclic groups Z/t, t in factors.
-
-    Each t splits into prime powers; the i-th largest factor of the chain
-    is the product over primes p of the i-th largest power of p.
-    """
-    powers: dict[int, list[int]] = {}
-    for t in factors:
-        for p, e in prime_factorization(t):
-            powers.setdefault(p, []).append(p**e)
-    chain = [1] * max(map(len, powers.values()), default=0)
-    for qs in powers.values():
-        for i, q in enumerate(sorted(qs, reverse=True)):
-            chain[i] *= q
-    return tuple(reversed(chain))
 
 
 def homology(K, max_dim: int | None = None) -> HomologyResult:
@@ -413,14 +374,15 @@ def homology(K, max_dim: int | None = None) -> HomologyResult:
     each component enumerating at most DEFAULT_SIMPLEX_BUDGET simplices.
 
     Splitting into connected components first keeps the matrices small;
-    homology is additive over disjoint unions, and the components' torsion
-    factors are merged into one invariant-factor chain.  ``top_dim`` is
-    None unless every component's enumeration reached an empty dimension.
+    homology is additive over disjoint unions, so the components' groups
+    are summed degree by degree, torsion as one invariant-factor chain.
+    ``top_dim`` is None unless every component's enumeration reached an
+    empty dimension.
     """
     comps = K.components()
     if len(comps) <= 1:
         return _homology_single(K, max_dim)
-    total_degrees: dict[int, list[int, list]] = {}
+    degrees: dict[int, AbGroupDescriptor] = {}
     counts: dict[int, int] = {}
     complete = True
     tops = []
@@ -431,13 +393,7 @@ def homology(K, max_dim: int | None = None) -> HomologyResult:
         for d, c in res.face_counts.items():
             counts[d] = counts.get(d, 0) + c
         for d, h in res.degrees.items():
-            slot = total_degrees.setdefault(d, [0, []])
-            slot[0] += h.betti
-            slot[1].extend(h.torsion)
-    degrees = {
-        d: DegreeHomology(betti=b, torsion=_invariant_chain(t))
-        for d, (b, t) in total_degrees.items()
-    }
+            degrees[d] = degrees.get(d, AbGroupDescriptor.trivial()) + h
     top = None if None in tops else max(tops)
     return HomologyResult(degrees=degrees, face_counts=counts, complete=complete, top_dim=top)
 
@@ -462,7 +418,7 @@ def homological_connectivity(K, n: int) -> bool:
     res = homology(K, max_dim=n)
     if not res.complete:
         raise BudgetExhausted(f"homology through degree {n} did not finish")
-    return all(res.degrees[d].is_zero() for d in range(1, n + 1) if d in res.degrees)
+    return all(res.degrees[d].is_trivial() for d in range(1, n + 1) if d in res.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +702,7 @@ def action_transitivity(K, generators) -> TransitivityReport:
 # ---------------------------------------------------------------------------
 
 
-def relative_homology(X, y_labels, max_dim: int) -> dict[int, DegreeHomology]:
+def relative_homology(X, y_labels, max_dim: int) -> dict[int, AbGroupDescriptor]:
     """H_d(X, Y) for the full subcomplex Y spanned by ``y_labels``.
 
     Computed from the relative chain complex: the degree-d basis is the
@@ -767,7 +723,7 @@ class InclusionReport:
     hypothesis_holds: bool
     first_violation: object
     conclusion_holds: bool | None
-    relative: dict[int, DegreeHomology] | None
+    relative: dict[int, AbGroupDescriptor] | None
 
 
 def inclusion_connectivity_harness(X, y_labels, n: int) -> InclusionReport:
@@ -792,7 +748,7 @@ def inclusion_connectivity_harness(X, y_labels, n: int) -> InclusionReport:
                     relative=None,
                 )
     rel = relative_homology(X, yset, max_dim=n)
-    ok = all(rel[d].is_zero() for d in range(0, n + 1))
+    ok = all(rel[d].is_trivial() for d in range(0, n + 1))
     return InclusionReport(
         hypothesis_holds=True, first_violation=None, conclusion_holds=ok, relative=rel
     )

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complexes import FlagComplex, SimplicialMap, SymRelation
-from .errors import InvariantError
+from .errors import InputError, InvariantError
 from .forms import FormMorphism, LinkingForm, direct_sum, standard_w
 from .groups import FinAbGroup, GroupHom
 from .snf import prime_factorization
@@ -175,8 +175,6 @@ def disjoint_double(K: FlagComplex) -> tuple[FlagComplex, SimplicialMap]:
 def random_simplicial_map(rng: random.Random, X: FlagComplex, Y: FlagComplex) -> SimplicialMap | None:
     """Random vertex map that happens to be simplicial, or None after
     ``SIMPLICIAL_MAP_TRIES`` attempts."""
-    from .errors import InputError
-
     for _ in range(SIMPLICIAL_MAP_TRIES):
         mapping = {v: rng.choice(list(Y.vertices)) for v in X.vertices}
         try:

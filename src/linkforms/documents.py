@@ -15,6 +15,7 @@ import json
 from .bordism import KKManifold1
 from .errors import InputError
 from .forms import LinkingForm
+from .groups import FinAbGroup
 from .qz import QZValue
 
 SIGN_CONVENTION = "sec3"
@@ -99,8 +100,6 @@ def form_from_document(doc: dict, source: str = "<input>") -> LinkingForm:
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"{source}: 'name' must be a string")
-    from .groups import FinAbGroup
-
     try:
         group = FinAbGroup.of(*orders)
         return LinkingForm(group, gram, name=name)

@@ -37,6 +37,7 @@ from .groups import (
     GroupElement,
     GroupHom,
     Subgroup,
+    invariant_chain,
     solve_affine_congruence_system,
     solve_congruence_system,
 )
@@ -720,9 +721,7 @@ def are_isomorphic(a: LinkingForm, b: LinkingForm) -> bool:
     to a backtracking generator-image search, feasible up to
     ``BRUTE_FORCE_ISO_CAP`` on the group order.
     """
-    ga = full_subgroup(a.group).invariant_factors
-    gb = full_subgroup(b.group).invariant_factors
-    if ga != gb:
+    if invariant_chain(a.group.orders) != invariant_chain(b.group.orders):
         return False
     rad_a, rad_b = a.radical(), b.radical()
     if rad_a.order != rad_b.order:
@@ -755,7 +754,7 @@ def _brute_force_isomorphic(a: LinkingForm, b: LinkingForm) -> bool:
     gens = [gens[i] for i in idx]
     orders = [orders[i] for i in idx]
     by_order: dict[int, list[GroupElement]] = {}
-    for e in b.group.enumerate_elements(cap=10**7):
+    for e in b.group.enumerate_elements():
         by_order.setdefault(e.order, []).append(e)
     grams = [a._pairings(gi, gens) for gi in gens]
 

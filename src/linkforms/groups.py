@@ -17,6 +17,10 @@ Intersections and congruence systems read the ``right`` transform alone,
 through ``integer_kernel_basis``.  The order alone comes from the
 diagonal-only ``column_lattice_index``, so subgroups that are only counted
 never pay for transforms.
+
+``AbGroupDescriptor`` describes a finitely generated abelian group by its
+free rank and invariant-factor chain; homology degrees and bordism groups
+are both given this way, and ``invariant_chain`` sums them.
 """
 
 from __future__ import annotations
@@ -75,13 +79,14 @@ class FinAbGroup:
         coeffs[i] = 1
         return GroupElement(self, tuple(coeffs))
 
-    def enumerate_elements(self, cap: int = ENUMERATION_CAP):
-        """Yield all elements in lexicographic coefficient order."""
-        if self.order > cap:
+    def enumerate_elements(self):
+        """Yield all elements in lexicographic coefficient order, at most
+        ENUMERATION_CAP of them."""
+        if self.order > ENUMERATION_CAP:
             raise CapExceeded(
-                f"group of order {self.order} exceeds enumeration cap {cap}",
+                f"group of order {self.order} exceeds enumeration cap {ENUMERATION_CAP}",
                 needed=self.order,
-                cap=cap,
+                cap=ENUMERATION_CAP,
             )
         for coeffs in itertools.product(*(range(d) for d in self.orders)):
             yield GroupElement(self, coeffs)
@@ -338,13 +343,14 @@ class Subgroup:
             raise InputError("coordinate count does not match subgroup presentation")
         return _combine(self.group, w, gens)
 
-    def elements(self, cap: int = ENUMERATION_CAP):
-        """All subgroup elements (lexicographic in standalone coordinates)."""
-        if self.order > cap:
+    def elements(self):
+        """All subgroup elements (lexicographic in standalone coordinates),
+        at most ENUMERATION_CAP of them."""
+        if self.order > ENUMERATION_CAP:
             raise CapExceeded(
-                f"subgroup of order {self.order} exceeds cap {cap}",
+                f"subgroup of order {self.order} exceeds cap {ENUMERATION_CAP}",
                 needed=self.order,
-                cap=cap,
+                cap=ENUMERATION_CAP,
             )
         orders, gens, _ = self._decomposition
         for w in itertools.product(*(range(s) for s in orders)):
@@ -447,3 +453,76 @@ def solve_affine_congruence_system(group: FinAbGroup, rows, targets):
     if sol is None:
         return None
     return GroupElement(group, tuple(sol[: group.rank]))
+
+
+def invariant_chain(orders) -> tuple[int, ...]:
+    """Invariant factors of the sum of the cyclic groups Z/t, t in orders.
+
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b).  Replacing slot i and each
+    later slot j by their (gcd, lcm) leaves slot i the gcd of all slots from
+    i on; gcd and lcm keep divisibility by the earlier slots, so the slots
+    end as a chain.  Factors equal to 1 are dropped; nothing is factorized.
+    """
+    chain = list(orders)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            chain[i], chain[j] = math.gcd(a, b), math.lcm(a, b)
+    return tuple(t for t in chain if t != 1)
+
+
+@dataclass(frozen=True)
+class AbGroupDescriptor:
+    """A finitely generated abelian group: Z^free_rank plus the torsion
+    given by its invariant-factor chain, ascending, each factor above 1 and
+    dividing the next."""
+
+    free_rank: int
+    torsion: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.free_rank < 0:
+            raise InputError("negative free rank")
+        prev = 1
+        for t in self.torsion:
+            if t < 2 or t % prev != 0:
+                raise InputError("torsion coefficients must form a divisibility chain")
+            prev = t
+
+    @classmethod
+    def trivial(cls) -> "AbGroupDescriptor":
+        return cls(0, ())
+
+    @classmethod
+    def free(cls, rank: int) -> "AbGroupDescriptor":
+        return cls(rank, ())
+
+    @classmethod
+    def cyclic(cls, n: int) -> "AbGroupDescriptor":
+        if n < 1:
+            raise InputError("cyclic order must be >= 1")
+        return cls(0, ()) if n == 1 else cls(0, (n,))
+
+    @property
+    def betti(self) -> int:
+        """The free rank, named as a Betti number for homology degrees."""
+        return self.free_rank
+
+    def is_trivial(self) -> bool:
+        return self.free_rank == 0 and not self.torsion
+
+    def __add__(self, other: "AbGroupDescriptor") -> "AbGroupDescriptor":
+        return AbGroupDescriptor(
+            self.free_rank + other.free_rank, invariant_chain(self.torsion + other.torsion)
+        )
+
+    def __str__(self) -> str:
+        parts = []
+        if self.free_rank == 1:
+            parts.append("Z")
+        elif self.free_rank > 1:
+            parts.append(f"Z^{self.free_rank}")
+        for t, group in itertools.groupby(self.torsion):
+            m = len(list(group))
+            parts.append(f"Z/{t}" if m == 1 else f"(Z/{t})^{m}")
+        return " + ".join(parts) if parts else "0"

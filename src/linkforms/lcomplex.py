@@ -157,7 +157,6 @@ def build_l_complex(
     form: LinkingForm,
     k: int,
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
-    edge_cap: int = DEFAULT_EDGE_CAP,
     force_materialize: bool = False,
 ) -> LComplex:
     """Build the complex, materializing the 1-skeleton when it fits.
@@ -165,7 +164,8 @@ def build_l_complex(
     Edges are the orthogonal pairs (module docstring).  Beyond
     ``materialize_cap`` vertices the complex is returned lazy unless
     materialization is forced, in which case the cap is enforced with
-    CapExceeded.
+    CapExceeded.  More than DEFAULT_EDGE_CAP edges (read at call time)
+    raise CapExceeded too.
     """
     count = count_w_morphisms(form, k)
     if count > materialize_cap:
@@ -185,8 +185,10 @@ def build_l_complex(
     adj = _orthogonality(form, k, morphs)
     np.fill_diagonal(adj, False)
     edges = int(np.count_nonzero(adj)) // 2  # adj is symmetric
-    if edges > edge_cap:
-        raise CapExceeded(f"{edges} edges exceed the edge cap", needed=edges, cap=edge_cap)
+    if edges > DEFAULT_EDGE_CAP:
+        raise CapExceeded(
+            f"{edges} edges exceed the edge cap", needed=edges, cap=DEFAULT_EDGE_CAP
+        )
     flag = FlagComplex(tuple(range(n)), adj)
     return LComplex(form, k, morphisms=morphs, flag=flag)
 

@@ -17,11 +17,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import bordism
 from .complexes import (
-    FlagComplex,
     GeneralComplex,
     PASS,
     action_transitivity,
@@ -30,7 +27,6 @@ from .complexes import (
     inclusion_connectivity_harness,
     lcm_check,
     preserves_links,
-    relative_homology,
 )
 from .corpus import (
     block_sum,
@@ -39,12 +35,11 @@ from .corpus import (
     random_full_subcomplex_instance,
     random_map_instance,
     random_scrambled_pair,
-    scramble_form,
 )
 from .errors import InputError
 from .forms import (
-    count_w_morphisms,
     extend_to_automorphism,
+    first_w_morphism,
     kernel_form,
     morphisms_from_w,
     normal_form,
@@ -54,7 +49,7 @@ from .forms import (
     are_isomorphic,
     direct_sum,
 )
-from .groups import GroupHom
+from .groups import AbGroupDescriptor, FinAbGroup, GroupHom
 from .lcomplex import (
     build_l_complex,
     find_short_path,
@@ -172,8 +167,6 @@ def aut_orbit(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionR
 
 def _all_homs_to_c3(form):
     group = form.group
-    from .groups import FinAbGroup
-
     c3 = FinAbGroup.of(3)
     coeff_sets = itertools.product(range(3), repeat=group.rank)
     for coeffs in coeff_sets:
@@ -273,8 +266,6 @@ def link_iso(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionRe
     for i in rng.sample(range(L2.vertex_count), 50):
         if not verify_link_iso(L2, [i]):
             failures += 1
-    from .forms import first_w_morphism
-
     L3 = build_l_complex(w_power(3, 3), 3)
     for _ in range(20):
         a = L3.vertex(rng.randrange(L3.vertex_count))
@@ -355,12 +346,12 @@ def cancellation(seed: int = DEFAULT_SEED, budget: int | None = None) -> Criteri
 def bordism_tables(seed: int = DEFAULT_SEED, budget: int | None = None) -> CriterionResult:
     failures = 0
     for k in range(2, 21):
-        if bordism.omega_k(0, k) != bordism.AbGroupDescriptor.cyclic(k):
+        if bordism.omega_k(0, k) != AbGroupDescriptor.cyclic(k):
             failures += 1
         if not bordism.omega_k(1, k).is_trivial():
             failures += 1
         for l in range(2, 21):
-            want = bordism.AbGroupDescriptor.cyclic(math.gcd(k, l))
+            want = AbGroupDescriptor.cyclic(math.gcd(k, l))
             for j in (0, 1):
                 if bordism.omega_kl(j, k, l) != want:
                     failures += 1
@@ -430,8 +421,8 @@ def homology_engine(seed: int = DEFAULT_SEED, budget: int | None = None) -> Crit
             failures += 1
     rp2 = GeneralComplex(RP2_FACES)
     H = homology(rp2)
-    if not (H.degrees[0].betti == 1 and H.degrees[1] .betti == 0
-            and H.degrees[1].torsion == (2,) and H.degrees[2].is_zero()):
+    if not (H.degrees[0].betti == 1 and H.degrees[1].betti == 0
+            and H.degrees[1].torsion == (2,) and H.degrees[2].is_trivial()):
         failures += 1
     details.append(f"projective plane H_1 = {H.degrees[1]}")
     # Euler consistency on the complexes materialized by the complex suites

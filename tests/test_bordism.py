@@ -43,6 +43,8 @@ def test_descriptor_rendering():
     assert str(AbGroupDescriptor.free(3)) == "Z^3"
     assert str(AbGroupDescriptor(1, (2,))) == "Z + Z/2"
     assert str(AbGroupDescriptor(0, (2, 6))) == "Z/2 + Z/6"
+    assert str(AbGroupDescriptor(2, (2,))) == "Z^2 + Z/2"
+    assert str(AbGroupDescriptor(0, (2, 2, 4))) == "(Z/2)^2 + Z/4"
 
 
 def test_descriptor_validation():

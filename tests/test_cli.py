@@ -216,7 +216,7 @@ def test_complex_euler_needs_the_top_dimension(tmp_path, capsys):
     assert "euler" not in report["data"]
 
 
-@pytest.mark.parametrize("flag", ["--verify-links", "--homology-max-dim"])
+@pytest.mark.parametrize("flag", ["--verify-links", "--homology-max-dim", "--materialize-cap"])
 def test_complex_negative_count_exits_2(files, capsys, flag):
     code, report = run_json(capsys, "complex", files["w3"], "3", flag, "-1")
     assert code == 2

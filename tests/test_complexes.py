@@ -4,13 +4,14 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linkforms import (
+    AbGroupDescriptor,
     BudgetExhausted,
     CapExceeded,
-    DegreeHomology,
     FAIL,
+    FinAbGroup,
     INCONCLUSIVE,
     FlagComplex,
     GeneralComplex,
@@ -20,15 +21,18 @@ from linkforms import (
     SymRelation,
     action_transitivity,
     check_link_lifting,
+    full_subgroup,
     homological_connectivity,
     homology,
     inclusion_connectivity_harness,
+    invariant_chain,
     lcm_check,
     preserves_links,
     relative_homology,
 )
 from linkforms import complexes
 from linkforms.corpus import disjoint_double, random_action_instance, random_flag_complex
+from linkforms.snf import prime_factorization
 from linkforms.verify import RP2_FACES
 
 
@@ -181,7 +185,7 @@ def test_boundary_of_simplex_is_sphere(n):
         if d == 0 or d == n - 1:
             assert (h.betti, h.torsion) == (1, ())
         else:
-            assert h.is_zero()
+            assert h.is_trivial()
     assert H.euler_from_betti() == H.euler_from_faces()
 
 
@@ -190,7 +194,7 @@ def test_flag_spheres():
     assert H1.degrees[0].betti == 1 and H1.degrees[1].betti == 1
     H2 = homology(octahedron())
     assert H2.degrees[0].betti == 1
-    assert H2.degrees[1].is_zero()
+    assert H2.degrees[1].is_trivial()
     assert H2.degrees[2].betti == 1
     assert H2.euler_from_faces() == 2
 
@@ -199,7 +203,7 @@ def test_complete_graphs_are_contractible():
     for m in range(1, 9):
         H = homology(complete_graph(m))
         assert H.degrees[0].betti == 1
-        assert all(h.is_zero() for d, h in H.degrees.items() if d > 0)
+        assert all(h.is_trivial() for d, h in H.degrees.items() if d > 0)
 
 
 def test_projective_plane_fixture():
@@ -211,7 +215,7 @@ def test_projective_plane_fixture():
     H = homology(K)
     assert (H.degrees[0].betti, H.degrees[0].torsion) == (1, ())
     assert (H.degrees[1].betti, H.degrees[1].torsion) == (0, (2,))
-    assert H.degrees[2].is_zero()
+    assert H.degrees[2].is_trivial()
     assert H.euler_from_faces() == 1
     # cross-check with mod-p Betti numbers: torsion Z/2 shows up over F_2
     faces = {d: sorted(K.faces_of_dim(d)) for d in range(3)}
@@ -240,10 +244,61 @@ def test_torsion_is_one_chain_across_components():
     joined = GeneralComplex(RP2_FACES + moore_space_z3() + [(1, 10)])
     assert len(disjoint.components()) == 2 and joined.is_connected()
     apart, together = homology(disjoint).degrees, homology(joined).degrees
-    assert apart[1] == together[1] == DegreeHomology(0, (6,))
+    assert apart[1] == together[1] == AbGroupDescriptor(0, (6,))
     assert (apart[0].betti, together[0].betti) == (2, 1)
     # relative homology rel nothing runs one SNF over both components
     assert relative_homology(disjoint, [], max_dim=1)[1].torsion == (6,)
+
+
+def _prime_power_chain(factors) -> tuple[int, ...]:
+    """Oracle: split each factor into prime powers; the i-th largest factor
+    of the chain is the product over primes p of the i-th largest power."""
+    powers: dict[int, list[int]] = {}
+    for t in factors:
+        for p, e in prime_factorization(t):
+            powers.setdefault(p, []).append(p**e)
+    chain = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            chain[i] *= q
+    return tuple(reversed(chain))
+
+
+# Orders built from few primes, so that primes repeat and factors coincide.
+chain_orders = st.lists(
+    st.one_of(
+        st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36, 5, 25, 7]),
+        st.integers(1, 10**4),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_orders)
+@example([])
+@example([6, 6, 6])
+@example([4, 2, 8, 2])
+def test_invariant_chain_matches_prime_power_oracle(orders):
+    assert invariant_chain(orders) == _prime_power_chain(orders)
+
+
+def test_invariant_chain_past_trial_division():
+    mersenne = 2**61 - 1
+    assert invariant_chain((mersenne, 6)) == (6 * mersenne,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), chain_orders, st.integers(0, 3), chain_orders)
+def test_descriptor_sum_is_the_direct_sum(ra, ta, rb, tb):
+    """The torsion of A + B is the invariant-factor chain that the
+    subgroup-lattice SNF gives for Z/t_1 + ... + Z/t_m."""
+    A = AbGroupDescriptor(ra, invariant_chain(ta))
+    B = AbGroupDescriptor(rb, invariant_chain(tb))
+    S = A + B
+    whole = FinAbGroup(tuple(t for t in ta + tb if t > 1))
+    assert S == AbGroupDescriptor(ra + rb, full_subgroup(whole).invariant_factors)
+    assert S == B + A and A + AbGroupDescriptor.trivial() == A
 
 
 def test_top_dim_is_none_when_any_component_is_cut_off():
@@ -264,13 +319,6 @@ def test_homology_additive_over_components():
     H = homology(D)
     assert H.degrees[0].betti == 2
     assert H.degrees[1].betti == 2
-
-
-def test_degree_homology_rendering():
-    assert str(DegreeHomology(0, ())) == "0"
-    assert str(DegreeHomology(1, ())) == "Z"
-    assert str(DegreeHomology(2, (2,))) == "Z^2 + Z/2"
-    assert str(DegreeHomology(0, (2, 2, 4))) == "(Z/2)^2 + Z/4"
 
 
 def test_torus_flag_complex():
@@ -515,20 +563,20 @@ def test_components_and_orbits_match_networkx():
 def test_relative_homology_of_path_rel_endpoints():
     P3 = FlagComplex.from_edges([0, 1, 2], [(0, 1), (1, 2)])
     rel = relative_homology(P3, [0, 2], max_dim=1)
-    assert rel[0].is_zero()
+    assert rel[0].is_trivial()
     assert rel[1].betti == 1  # H_1(interval, boundary) = Z
 
 
 def test_relative_homology_vanishes_for_equal_pair():
     K = octahedron()
     rel = relative_homology(K, list(K.vertices), max_dim=2)
-    assert all(h.is_zero() for h in rel.values())
+    assert all(h.is_trivial() for h in rel.values())
 
 
 def test_relative_homology_of_disk_rel_point():
     K = complete_graph(3)  # solid triangle
     rel = relative_homology(K, [0], max_dim=2)
-    assert all(h.is_zero() for h in rel.values())
+    assert all(h.is_trivial() for h in rel.values())
 
 
 @settings(max_examples=30, deadline=None)
@@ -557,7 +605,7 @@ def test_inclusion_harness_cone_point():
     assert rep.first_violation is not None
     # the conclusion itself holds regardless, checked directly:
     rel = relative_homology(X, [0], max_dim=1)
-    assert all(h.is_zero() for h in rel.values())
+    assert all(h.is_trivial() for h in rel.values())
 
 
 def test_inclusion_harness_detects_bad_pair():

@@ -286,9 +286,10 @@ def test_force_materialize_over_cap():
         build_l_complex(w_power(3, 2), 3, materialize_cap=100, force_materialize=True)
 
 
-def test_edge_cap():
+def test_edge_cap(monkeypatch):
+    monkeypatch.setattr(lcomplex, "DEFAULT_EDGE_CAP", 100)
     with pytest.raises(CapExceeded):
-        build_l_complex(w_power(3, 2), 3, edge_cap=100)
+        build_l_complex(w_power(3, 2), 3)
 
 
 def test_lazy_large_power():
