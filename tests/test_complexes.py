@@ -301,6 +301,16 @@ def test_descriptor_sum_is_the_direct_sum(ra, ta, rb, tb):
     assert S == B + A and A + AbGroupDescriptor.trivial() == A
 
 
+def test_degree_homology_rendering():
+    """Homology degrees are AbGroupDescriptor values and render as such."""
+    assert str(AbGroupDescriptor(0, ())) == "0"
+    assert str(AbGroupDescriptor(1, ())) == "Z"
+    assert str(AbGroupDescriptor(2, (2,))) == "Z^2 + Z/2"
+    assert str(AbGroupDescriptor(0, (2, 2, 4))) == "(Z/2)^2 + Z/4"
+    degrees = homology(GeneralComplex(RP2_FACES)).degrees
+    assert [str(degrees[d]) for d in (0, 1, 2)] == ["Z", "Z/2", "0"]
+
+
 def test_top_dim_is_none_when_any_component_is_cut_off():
     """max_dim = 0 cuts off the solid tetrahedron's enumeration, so its top
     dimension is unknown, alone or next to an isolated point."""
