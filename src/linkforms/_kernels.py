@@ -8,6 +8,8 @@ product, and it runs unchanged on any integer dtype: int64 arrays where
 :func:`fits_int64` proves that every intermediate fits, and ``dtype=object``
 arrays of Python ints, exact at any size, everywhere else.  The caller
 chooses the dtype (``LinkingForm._w_rows``); the kernels never branch on it.
+A single morphism W_k -> M, first or index-th, needs no kernel: its
+partner is counted out exactly (``forms._partner``).
 """
 
 from __future__ import annotations
@@ -30,18 +32,6 @@ def fits_int64(D: int, dmax: int, rank: int) -> bool:
     return D <= _MOD_LIMIT and dmax <= _MOD_LIMIT and rank <= _RANK_LIMIT
 
 
-def _row_blocks(m, first):
-    """Row ranges covering range(m) for an m-column table: ``first`` rows,
-    then doubling, each block at most _BLOCK_CELLS cells (and one row)."""
-    cap = max(1, _BLOCK_CELLS // max(m, 1))
-    rows = min(first, cap)
-    start = 0
-    while start < m:
-        yield start, min(start + rows, m)
-        start += rows
-        rows = min(2 * rows, cap)
-
-
 def pairs_hitting(X, N, D, target, limit):
     """Row-major pairs (i, j) with X_i N X_j == target mod D.
 
@@ -51,28 +41,16 @@ def pairs_hitting(X, N, D, target, limit):
     m = X.shape[0]
     cap = limit if limit >= 0 else m * m
     XN = (X @ N) % D
+    rows = max(1, _BLOCK_CELLS // max(m, 1))
     chunks = []
     total = 0
-    for start, stop in _row_blocks(m, m):
-        ii, jj = np.nonzero((XN[start:stop] @ X.T) % D == target)
+    for start in range(0, m, rows):
+        ii, jj = np.nonzero((XN[start:start + rows] @ X.T) % D == target)
         if total < cap:
             chunks.append(np.stack([ii + start, jj], axis=1)[: cap - total])
         total += ii.shape[0]
     out = np.concatenate(chunks) if chunks else np.empty((0, 2), np.int64)
     return out, total
-
-
-def first_pair(X, N, D, target):
-    """The first row-major pair (i, j) with X_i N X_j == target mod D, or
-    (-1, -1)."""
-    # The first hit is usually in the first rows, so blocks grow from one row.
-    m = X.shape[0]
-    XN = (X @ N) % D
-    for start, stop in _row_blocks(m, 1):
-        ii, jj = np.nonzero((XN[start:stop] @ X.T) % D == target)
-        if ii.shape[0]:
-            return int(ii[0]) + start, int(jj[0])
-    return -1, -1
 
 
 def orth_adjacency(X, Y, N, D):

@@ -208,6 +208,8 @@ def cmd_bordism(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.budget is not None and args.budget < 0:
+        raise InputError(f"--budget must be >= 0, got {args.budget}")
     if args.suite == "all":
         results = verify_mod.run_all(seed=args.seed, budget=args.budget)
     else:

@@ -16,6 +16,7 @@ exact through the Smith-normal-form machinery in ``linkforms.groups``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -487,51 +488,25 @@ def morphisms_from_w(
     return [FormMorphism(source, form, [element(x), element(y)]) for x, y in pairs]
 
 
-def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
-    """Lexicographically first morphism W_k -> form, or None."""
-    if k < 2:
-        raise InputError("k must be >= 2")
-    D = form.denominator
-    if form.group.rank == 0 or D % k != 0:
-        return None
-    X, N = form._w_rows(k)
-    i, j = _kernels.first_pair(X, N, D, D // k)
-    if i < 0:
-        return None
-    x = form.group.element(tuple(X[i].tolist()))
-    y = form.group.element(tuple(X[j].tolist()))
-    return w_morphism(form, k, x, y)
-
-
-def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
-    """The index-th morphism in the lexicographic enumeration.
-
-    The first call for (form, k) caches the torsion matrix and the
-    cumulative per-row solution counts on the form (``_w_counts``): 8 bytes
-    per torsion row on top of the matrix.  A lookup finds its row x by
-    binary search, O(log |M[k]|), and then counts its partner y out digit
-    by digit in O(rank) exact integer steps, with no scan of M[k]:
+def _partner(form: LinkingForm, k: int, x: GroupElement, offset: int) -> GroupElement | None:
+    """The offset-th solution y of b(x, y) = 1/k in M[k], in lexicographic
+    order, for x in M[k]; None when x has none.  Requires k | D.  Counted
+    out digit by digit in O(rank) exact integer steps, with no scan of M[k]:
 
     Write y_j = t_j step_j with 0 <= t_j < n_j = gcd(d_j, k) and
     step_j = d_j / n_j, and put a_j = c_j step_j mod D for c = x N mod D.
     The partners are the t with sum_j a_j t_j = D/k mod D, in lexicographic
     order of t.  Since n_i a_i = 0 mod D, the suffix sums
-    t -> sum_{i>j} a_i t_i are a homomorphism onto the multiples of
-    G_{j+1} = gcd(D, a_{j+1}, ...), and each multiple is hit by
-    C_{j+1} = P_{j+1} G_{j+1} / D suffixes, P_{j+1} = n_{j+1} ... n_r.  So
-    the digits t_j that some suffix completes solve a_j t_j = rest mod
-    G_{j+1}: one progression t0 + q m, m = G_{j+1} / gcd(a_j, G_{j+1}),
-    each value followed by C_{j+1} partners, and the offset picks q.  The
-    result is still checked by ``w_morphism``'s exact pairing test.
+    t -> sum_{i>=j} a_i t_i are a homomorphism onto the multiples of
+    G_j = gcd(D, a_j, a_{j+1}, ...), and each multiple is hit by
+    C_j = P_j G_j / D suffixes, P_j = n_j ... n_r.  So x has partners
+    exactly when G_0 divides D/k.  Then, with rest a multiple of G_j, the
+    digits t_j that some suffix completes solve a_j t_j = rest mod G_{j+1},
+    and G_j = gcd(a_j, G_{j+1}): one progression t0 + q m,
+    m = G_{j+1} / G_j, each value followed by C_{j+1} partners, and the
+    offset picks q.  An offset past the row's partners raises
+    InvariantError.
     """
-    total = count_w_morphisms(form, k)
-    if not 0 <= index < total:
-        raise InputError(f"index {index} out of range ({total} morphisms)")
-    X, _ = form._w_rows(k)
-    cum = form._w_counts(k)
-    i = int(np.searchsorted(cum, index, side="right"))
-    offset = index - (int(cum[i - 1]) if i else 0)
-    x = form.group.element(tuple(X[i].tolist()))
     c, D = form.dual_functional_rows(x)
     orders = form.group.orders
     n = [math.gcd(d, k) for d in orders]
@@ -542,20 +517,62 @@ def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
     for j in reversed(range(r)):
         G[j], P[j] = math.gcd(G[j + 1], a[j]), P[j + 1] * n[j]
     rest = D // k
+    if rest % G[0]:
+        return None
     coeffs = []
     for j, (aj, nj, d) in enumerate(zip(a, n, orders)):
-        g = math.gcd(aj, G[j + 1])
-        if rest % g:
-            raise InvariantError(f"partner digit {j} of index {index} has no solution")
-        m = G[j + 1] // g
-        t0 = rest // g * pow(aj // g, -1, m) % m
+        m = G[j + 1] // G[j]
+        t0 = rest // G[j] * pow(aj // G[j], -1, m) % m
         q, offset = divmod(offset, P[j + 1] * G[j + 1] // D)
         t = t0 + q * m
         if t >= nj:
-            raise InvariantError(f"partner digit {j} of index {index} exceeds {nj - 1}")
+            raise InvariantError(f"partner digit {j} of row {x.coeffs} exceeds {nj - 1}")
         coeffs.append(t * (d // nj))
         rest = (rest - aj * t) % D
-    return w_morphism(form, k, x, form.group.element(tuple(coeffs)))
+    return form.group.element(coeffs)
+
+
+def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
+    """Lexicographically first morphism W_k -> form, or None.
+
+    Walks the k-torsion rows lazily, in ``torsion_matrix`` order, up to
+    the first one with a partner (``_partner``), O(rank^2) per row; no
+    torsion array is built or cached on the form.
+    """
+    if k < 2:
+        raise InputError("k must be >= 2")
+    if form.denominator % k != 0:  # includes rank 0, where D = 1
+        return None
+    axes = [range(0, d, d // math.gcd(d, k)) for d in form.group.orders]
+    for coeffs in itertools.product(*axes):
+        x = form.group.element(coeffs)
+        y = _partner(form, k, x, 0)
+        if y is not None:
+            return w_morphism(form, k, x, y)
+    return None
+
+
+def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
+    """The index-th morphism in the lexicographic enumeration.
+
+    The first call for (form, k) caches the torsion matrix and the
+    cumulative per-row solution counts on the form (``_w_counts``): 8 bytes
+    per torsion row on top of the matrix.  A lookup finds its row x by
+    binary search, O(log |M[k]|), and then counts its partner y out with
+    ``_partner``, with no scan of M[k].  The result is still checked by
+    ``w_morphism``'s exact pairing test.
+    """
+    total = count_w_morphisms(form, k)
+    if not 0 <= index < total:
+        raise InputError(f"index {index} out of range ({total} morphisms)")
+    X, _ = form._w_rows(k)
+    cum = form._w_counts(k)
+    i = int(np.searchsorted(cum, index, side="right"))
+    x = form.group.element(X[i].tolist())
+    y = _partner(form, k, x, index - (int(cum[i - 1]) if i else 0))
+    if y is None:
+        raise InvariantError(f"row {i} of index {index} has no solution")
+    return w_morphism(form, k, x, y)
 
 
 # ---------------------------------------------------------------------------

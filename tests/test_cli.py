@@ -352,6 +352,20 @@ def test_verify_budget_zero_is_honoured(files, capsys, monkeypatch):
     assert budgets and set(budgets) == {0}
 
 
+@pytest.mark.parametrize("suite", ["link-iso", "bordism-tables", "all"])
+def test_verify_negative_budget_exits_2(files, capsys, monkeypatch, suite):
+    """Every suite refuses a negative budget, also those that never read
+    it, and before any suite runs."""
+    ran = []
+    monkeypatch.setattr(verify_mod, "run_suite", lambda *a, **kw: ran.append(a))
+    monkeypatch.setattr(verify_mod, "run_all", lambda *a, **kw: ran.append(a))
+    code, report = run_json(capsys, "verify", suite, "--budget", "-5")
+    assert code == 2
+    assert report["data"]["kind"] == "InputError"
+    assert "--budget" in report["data"]["error"]
+    assert ran == []
+
+
 def test_verify_failure_exits_1(files, capsys, monkeypatch):
     def fake(seed, budget):
         return CriterionResult(

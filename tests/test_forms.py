@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -497,13 +498,98 @@ def test_first_morphism_agrees_with_enumeration(seed):
 
 def brute_lex_keys(form, k):
     """All (x, y) keys with b(x, y) = 1/k in lexicographic order, read off
-    the full pair table of the k-torsion."""
-    X = form.torsion_matrix(k)
+    np.argwhere over the full pair table of the k-torsion (exact past the
+    int64 gate); none when k does not divide D."""
     D = form.denominator
-    N = np.array(form.numerators, dtype=np.int64)
+    if D % k:
+        return []
+    X, N = form._w_rows(k)
     table = ((X @ N) % D @ X.T) % D
     rows = [tuple(x) for x in X.tolist()]
     return [(rows[i], rows[j]) for i, j in np.argwhere(table == D // k).tolist()]
+
+
+def check_first_pair(form, levels=(2, 3, 4, 6, 9, 12)):
+    """first_w_morphism against the first pair of the full table scan at
+    each level; returns how many levels have a morphism."""
+    found = 0
+    for k in levels:
+        f = first_w_morphism(form, k)
+        want = next(iter(brute_lex_keys(form, k)), None)
+        assert (f.key() if f else None) == want
+        found += f is not None
+    return found
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(2,), (3,), (4,), (6,), (9,), (12,), (2, 4), (2, 6), (3, 3), (3, 9), (4, 6)]),
+    st.integers(0, 10**6),
+)
+def test_first_pair_matches_reference(blocks, seed):
+    """Scrambled block sums, at levels that divide D, that divide D with no
+    morphism (W_9 at k = 3) and that do not divide D."""
+    form, _ = scramble_form(block_sum(blocks), random.Random(seed))
+    assert check_first_pair(form) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_first_pair_of_singular_kernel_forms(seed):
+    """Kernels of random maps M -> Z/k: singular forms whose radical rows
+    have no partner."""
+    rng = random.Random(seed)
+    M, k = rng.choice([
+        (w_power(3, 2), 3),
+        (direct_sum(standard_w(9), standard_w(3)), 3),
+        (w_power(6, 2), 6),
+        (direct_sum(standard_w(4), standard_w(12)), 4),
+    ])
+    M, _ = scramble_form(M, rng)
+    C = FinAbGroup.of(k)
+    phi = GroupHom(M.group, C, [
+        C.element((rng.randrange(k) * (k // math.gcd(k, d)),)) for d in M.group.orders
+    ])
+    check_first_pair(kernel_form(M, phi).form)
+
+
+def radical_sum(block, zeros, block_first=True):
+    """W_block (+) the zero form on (Z/block)^zeros.  With the block first,
+    every torsion row before the first one with a partner lies in the
+    radical."""
+    zero = LinkingForm._from_numerators(FinAbGroup.of(*[block] * zeros), 1, [[0] * zeros] * zeros)
+    parts = (standard_w(block), zero)
+    return direct_sum(*(parts if block_first else parts[::-1]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 4), st.booleans())
+def test_first_pair_after_radical_rows(block, zeros, block_first):
+    assert check_first_pair(radical_sum(block, zeros, block_first), levels=(2, block)) > 0
+
+
+def test_first_pair_after_6561_radical_rows_is_fast():
+    """W_3 (+) the zero form on (Z/3)^8: the 3^8 rows with a zero W_3 part
+    come first and have no partner.  A full pair scan of its 3^10 rows is
+    quadratic (several seconds); the row walk stays well under a second.
+    The morphism is the one that scan returns: x = e_1 and y = 2 e_0, with
+    b(e_1, 2 e_0) = -2/3 = 1/3."""
+    form = radical_sum(3, 8)
+    start = time.perf_counter()
+    f = first_w_morphism(form, 3)
+    elapsed = time.perf_counter() - start
+    assert f.key() == ((0, 1) + (0,) * 8, (2, 0) + (0,) * 8)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("modulus, g, k", [(3, 3, 3), (2 * 1048583, 2, 2)], ids=["W_3^3", "W_2p^2"])
+def test_first_w_morphism_caches_no_torsion_table(modulus, g, k):
+    """The row walk builds no torsion array, inside the int64 gate and on
+    the exact path, so a short-lived form keeps no table."""
+    form = w_power(modulus, g)
+    assert first_w_morphism(form, k) is not None
+    assert form._w_rows_cache == {}
+    assert form._w_counts_cache == {}
 
 
 @settings(max_examples=12, deadline=None)
@@ -614,6 +700,15 @@ def test_partner_counting_at_int64_gate_edges(case):
     scrambled, _ = scramble_form(plain, random.Random(modulus))
     for form in (plain, scrambled):
         assert check_every_row_against_scan(form, k, random.Random(k)) > 0
+
+
+@pytest.mark.parametrize("case", PARTNER_EDGE_FORMS)
+def test_first_pair_at_int64_gate_edges(case):
+    modulus, k = PARTNER_EDGE_FORMS[case]
+    plain = w_power(modulus, 2)
+    scrambled, _ = scramble_form(plain, random.Random(modulus))
+    for form in (plain, scrambled):
+        assert check_first_pair(form, levels=(k,)) == 1
 
 
 SPAN_FORMS = {

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from linkforms import _kernels
 from linkforms._kernels import (
-    first_pair,
     fits_int64,
     orth_adjacency,
     pairs_hitting,
@@ -68,27 +67,16 @@ def test_pairs_hitting_matches_reference():
     assert [tuple(p) for p in np.asarray(pairs).tolist()] == want[:3]
 
 
-def test_first_pair_matches_reference():
-    X, N, _, D = small_instance(seed=3, m=9, n=9)
-    table = reference_pair_table(X, N, X, D)
-    for target in range(D):
-        want = next(
-            ((i, j) for i in range(9) for j in range(9) if table[i, j] == target),
-            (-1, -1),
-        )
-        assert tuple(first_pair(X, N, np.int64(D), np.int64(target))) == want
-
-
 @pytest.mark.parametrize("cells", [_kernels._BLOCK_CELLS, 64])
 @pytest.mark.parametrize("case", ["random", "late", "none"])
 def test_pair_searches_match_argwhere(monkeypatch, cells, case):
-    """Both searches against np.argwhere over the full table, with the
-    default block budget and with one small enough for many blocks."""
+    """The pair search against np.argwhere over the full table, with the
+    default block budget and with one small enough for one-row blocks."""
     monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
     X, N, _, D = small_instance(seed=6, m=40, n=40, r=3)
     target = 4
     if case == "late":
-        X[:23] = 0  # zero rows pair to 0: no hit in the blocks of 1, 2, 4, 8 rows
+        X[:23] = 0  # zero rows pair to 0: with one-row blocks, 23 blocks without a hit
     elif case == "none":
         X[:] = 0
     want = np.argwhere(reference_pair_table(X, N, X, D) == target)
@@ -99,8 +87,6 @@ def test_pair_searches_match_argwhere(monkeypatch, cells, case):
     pairs, total = pairs_hitting(X, N, np.int64(D), np.int64(target), -1)
     assert total == len(want)
     assert np.array_equal(np.asarray(pairs).reshape(-1, 2), want)
-    first = tuple(want[0]) if len(want) else (-1, -1)
-    assert tuple(first_pair(X, N, np.int64(D), np.int64(target))) == first
 
 
 def test_orth_adjacency_matches_reference():
@@ -128,7 +114,7 @@ def test_fits_int64_bounds():
 
 
 def check_kernels(X, Y, N, D, cell, zero_rows):
-    """All four kernels on (X, Y, N, D) against the Python-int reference.
+    """All three kernels on (X, Y, N, D) against the Python-int reference.
 
     The pair-search target is the value of table cell ``cell``, so it has
     at least one hit; rows listed in ``zero_rows`` are zeroed in X and Y so
@@ -142,7 +128,6 @@ def check_kernels(X, Y, N, D, cell, zero_rows):
     pairs, total = pairs_hitting(X, N, D, target, -1)
     assert total == len(want)
     assert np.array_equal(np.asarray(pairs).reshape(-1, 2), want)
-    assert first_pair(X, N, D, target) == tuple(want[0])
     assert np.array_equal(orth_adjacency(X, Y, N, D), reference_adjacency(X, Y, N, D))
     cross = reference_pair_table(X, N, Y, D)
     for i in range(len(X)):
