@@ -37,7 +37,6 @@ from .forms import (
     FormMorphism,
     LinkingForm,
     NormalForm,
-    SplitResult,
     Subform,
     are_isomorphic,
     count_w_morphisms,

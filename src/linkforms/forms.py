@@ -16,7 +16,6 @@ exact through the Smith-normal-form machinery in ``linkforms.groups``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -291,9 +290,6 @@ class Subform:
             f.source, self.ambient, [self.embed_element(img) for img in f.images]
         )
 
-    def contains(self, x: GroupElement) -> bool:
-        return self.subgroup.contains(x)
-
 
 def orthogonal_complement(form: LinkingForm, subgroup: Subgroup) -> Subform:
     """{z : b(s, z) = 0 for all s in S} with the restricted form.
@@ -339,10 +335,6 @@ class FormMorphism:
     def image_subgroup(self) -> Subgroup:
         return Subgroup(self.target.group, self.images)
 
-    @cached_property
-    def image_subform(self) -> Subform:
-        return Subform(self.target, self.image_subgroup)
-
     def image_key(self) -> frozenset:
         """Canonical key identifying the image subgroup setwise.
 
@@ -378,10 +370,6 @@ class FormMorphism:
             self.source == self.target
             and self.image_subgroup.order == self.target.group.order
         )
-
-    def inverse(self) -> "FormMorphism":
-        inv = self._hom.inverse()
-        return FormMorphism(self.target, self.source, inv.images)
 
     # Conveniences for morphisms out of a standard block W_k.
 
@@ -537,15 +525,22 @@ def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
 
     Walks the k-torsion rows lazily, in ``torsion_matrix`` order, up to
     the first one with a partner (``_partner``), O(rank^2) per row; no
-    torsion array is built or cached on the form.
+    torsion array is built or cached on the form.  Row i is read off as
+    the mixed-radix digits of i over the axis sizes gcd(d_j, k), last axis
+    fastest, so no axis is held in memory either.
     """
     if k < 2:
         raise InputError("k must be >= 2")
     if form.denominator % k != 0:  # includes rank 0, where D = 1
         return None
-    axes = [range(0, d, d // math.gcd(d, k)) for d in form.group.orders]
-    for coeffs in itertools.product(*axes):
-        x = form.group.element(coeffs)
+    orders = form.group.orders
+    sizes = [math.gcd(d, k) for d in orders]
+    for i in range(math.prod(sizes)):
+        digits = []
+        for n in reversed(sizes):
+            i, t = divmod(i, n)
+            digits.append(t)
+        x = form.group.element([t * (d // n) for t, d, n in zip(reversed(digits), orders, sizes)])
         y = _partner(form, k, x, 0)
         if y is not None:
             return w_morphism(form, k, x, y)
@@ -580,13 +575,6 @@ def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplitResult:
-    image: Subform
-    complement: Subform
-    retraction: GroupHom
-
-
 def _retraction(f: FormMorphism) -> GroupHom:
     """The retraction M -> W_k of ``split_along``, checked to restrict to
     the identity through f."""
@@ -604,8 +592,9 @@ def _retraction(f: FormMorphism) -> GroupHom:
     return retraction
 
 
-def split_along(f: FormMorphism) -> SplitResult:
-    """Split M = f(W_k) (+) f(W_k)^perp off a morphism f : W_k -> M.
+def split_along(f: FormMorphism) -> Subform:
+    """Split M = f(W_k) (+) f(W_k)^perp off a morphism f : W_k -> M and
+    return the complement f(W_k)^perp; the image is ``f.image_subgroup``.
 
     The retraction r sends z to (t1, t2) where b(z, y) = t1/k and
     b(x, z) = t2/k; it restricts to the identity on the image (through f)
@@ -622,14 +611,13 @@ def split_along(f: FormMorphism) -> SplitResult:
     """
     M = f.target
     retraction = _retraction(f)
-    image = f.image_subform
-    complement = orthogonal_complement(M, image.subgroup)
-    orders = image.subgroup.invariant_factors + complement.subgroup.invariant_factors
+    complement = orthogonal_complement(M, f.image_subgroup)
+    orders = f.image_subgroup.invariant_factors + complement.subgroup.invariant_factors
     if math.prod(orders) != M.group.order:
         raise InvariantError("image and complement orders must multiply to |M|")
     if not all(retraction(z).is_zero() for z in complement.subgroup.decomposition_gens):
         raise InvariantError("image and complement must intersect trivially")
-    return SplitResult(image=image, complement=complement, retraction=retraction)
+    return complement
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +831,7 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     if w is None:
         raise SingularFormError("could not complete v' to a block; form is singular")
     f = w_morphism(form, k, w, vprime)
-    comp = split_along(f).complement
+    comp = split_along(f)
     blocks = [
         (q, comp.embed_element(xs), comp.embed_element(ys))
         for q, xs, ys in hyperbolic_basis(comp.form)

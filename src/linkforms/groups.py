@@ -5,18 +5,16 @@ the trivial group).  Elements are coefficient tuples reduced modulo those
 orders.  Subgroups are handled through the lattice dictionary: a subgroup
 of Z/d_1 + ... + Z/d_r corresponds to the integer column lattice spanned by
 its generators' coefficient vectors together with diag(d), and all
-structural questions (order, membership, invariant factors) reduce to
+structural questions (order, invariant factors, intersections) reduce to
 Smith normal form over Z.
 
-Each subgroup eliminates its lattice once and keeps the diagonal and the
-``left`` transform only: membership, basis coordinates and the relation
-matrix of the invariant-factor presentation read nothing else.  The
-presentation adds a full r x r SNF of that relation matrix, whose ``left``
-gives standalone coordinates and whose ``right`` gives the generators.
-Intersections and congruence systems read the ``right`` transform alone,
-through ``integer_kernel_basis``.  The order alone comes from the
-diagonal-only ``column_lattice_index``, so subgroups that are only counted
-never pay for transforms.
+The invariant-factor presentation eliminates the lattice once, building
+the ``left`` transform only, to form the relation matrix; it then
+eliminates that r x r matrix building ``right`` only, which gives the
+generators.  Intersections and congruence systems read the ``right``
+transform alone, through ``integer_kernel_basis``.  The order alone comes
+from the diagonal-only ``column_lattice_index``, so subgroups that are only
+counted never pay for transforms.
 
 ``AbGroupDescriptor`` describes a finitely generated abelian group by its
 free rank and invariant-factor chain; homology degrees and bordism groups
@@ -124,9 +122,6 @@ class GroupElement:
             self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-a for a in self.coeffs))
-
     def scale(self, n: int) -> "GroupElement":
         return GroupElement(self.group, tuple(n * a for a in self.coeffs))
 
@@ -188,33 +183,11 @@ class GroupHom:
     def image(self) -> "Subgroup":
         return Subgroup(self.target, self.images)
 
-    def matrix(self) -> Matrix:
-        """Column i is the image of source generator i."""
-        return [
-            [img.coeffs[j] for img in self.images] for j in range(self.target.rank)
-        ]
-
     def is_isomorphism(self) -> bool:
         return (
             self.source.order == self.target.order
             and self.image().order == self.target.order
         )
-
-    def inverse(self) -> "GroupHom":
-        """Inverse of a bijective hom: one SNF of the congruence system
-        h(z) = e_j, solved for each target generator e_j."""
-        if not self.is_isomorphism():
-            raise InputError("hom is not invertible")
-        n = self.target.rank
-        stacked = _stack_congruences(self.source, list(zip(self.matrix(), self.target.orders)))
-        res = smith_normal_form(stacked)
-        preimages = []
-        for j in range(n):
-            sol = res.solve([1 if i == j else 0 for i in range(n)])
-            if sol is None:
-                raise InputError("hom is not invertible")
-            preimages.append(GroupElement(self.source, tuple(sol[: self.source.rank])))
-        return GroupHom(self.target, self.source, preimages)
 
 
 class Subgroup:
@@ -249,49 +222,27 @@ class Subgroup:
         return self.group.order // column_lattice_index(self._lattice)
 
     @cached_property
-    def _snf(self):
-        """(s, left) with left @ lattice @ right = [diag(s) | 0] for some
-        unimodular right, which is not accumulated; every s_i >= 1."""
-        diag, left, _ = _eliminate(self._lattice, want_left=True)
-        return diag, left
-
-    def _basis_coords(self, x: GroupElement) -> list[int] | None:
-        """Coordinates a of x in the lattice basis left^-1 diag(s), i.e.
-        a = diag(s)^-1 left x, or None when x is not in the subgroup."""
-        if x.group != self.group:
-            return None
-        diag, left = self._snf
-        a = []
-        for row, s in zip(left, diag):
-            q, rem = divmod(sum(u * c for u, c in zip(row, x.coeffs)), s)
-            if rem:
-                return None
-            a.append(q)
-        return a
-
-    def contains(self, x: GroupElement) -> bool:
-        return self._basis_coords(x) is not None
-
-    @cached_property
     def _decomposition(self):
         """Invariant-factor presentation of the subgroup.
 
-        Returns (orders, gens, U) where `orders` are the invariant factors
-        >= 2, `gens` are ambient elements generating the corresponding
-        cyclic factors, and the rows of `U` turn lattice-basis coordinates
-        a into standalone coordinates w = U a.
+        Returns (orders, gens) where `orders` are the invariant factors
+        >= 2 and `gens` are ambient elements generating the corresponding
+        cyclic factors.
 
-        With B = left^-1 diag(s) the lattice basis, diag(d) = B M for the
+        The lattice is eliminated once, building ``left`` only:
+        left @ lattice @ right = [diag(s) | 0], every s_i >= 1.  With
+        B = left^-1 diag(s) the lattice basis, diag(d) = B M for the
         relation matrix M = diag(s)^-1 left diag(d).  Its SNF
         left_M M right_M = diag(t) gives the presentation: B left_M^-1 has
         column j equal to B M right_M e_j / t_j = diag(d) right_M e_j / t_j,
-        which generates the factor of order t_j.
+        which generates the factor of order t_j.  So the relation matrix is
+        eliminated building ``right_M`` only.
         """
         r = self.group.rank
         if r == 0:
-            return (), [], []
+            return (), []
         d = self.group.orders
-        diag, left = self._snf
+        diag, left, _ = _eliminate(self._lattice, want_left=True)
         M = []
         for row, s in zip(left, diag):
             q_row = []
@@ -301,19 +252,17 @@ class Subgroup:
                     raise InvariantError("diag(d) must lie in the subgroup lattice")
                 q_row.append(q)
             M.append(q_row)
-        res_m = smith_normal_form(M)
+        diag_m, _, right_m = _eliminate(M, want_right=True)
         orders = []
         gens = []
-        U = []
-        for j, t in enumerate(res_m.diag):
+        for j, t in enumerate(diag_m):
             if t == 0:
                 raise InvariantError("subgroup lattice must have full rank")
             if t >= 2:
                 orders.append(t)
-                coeffs = tuple(di * res_m.right[i][j] // t for i, di in enumerate(d))
+                coeffs = tuple(di * right_m[i][j] // t for i, di in enumerate(d))
                 gens.append(GroupElement(self.group, coeffs))
-                U.append(res_m.left[j])
-        return tuple(orders), gens, U
+        return tuple(orders), gens
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -326,18 +275,8 @@ class Subgroup:
     def standalone(self) -> FinAbGroup:
         return FinAbGroup(self.invariant_factors)
 
-    def to_sub_coords(self, x: GroupElement) -> tuple[int, ...]:
-        """Coordinates of a subgroup member in the standalone presentation."""
-        a = self._basis_coords(x)
-        if a is None:
-            raise InputError("element is not in the subgroup")
-        orders, _, U = self._decomposition
-        return tuple(
-            sum(u * c for u, c in zip(row, a)) % s for row, s in zip(U, orders)
-        )
-
     def from_sub_coords(self, w) -> GroupElement:
-        orders, gens, _ = self._decomposition
+        orders, gens = self._decomposition
         w = tuple(w)
         if len(w) != len(orders):
             raise InputError("coordinate count does not match subgroup presentation")
@@ -352,8 +291,7 @@ class Subgroup:
                 needed=self.order,
                 cap=ENUMERATION_CAP,
             )
-        orders, gens, _ = self._decomposition
-        for w in itertools.product(*(range(s) for s in orders)):
+        for w in itertools.product(*(range(s) for s in self.invariant_factors)):
             yield self.from_sub_coords(w)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
@@ -379,12 +317,6 @@ class Subgroup:
             if not g.is_zero():
                 gens.append(g)
         return Subgroup(self.group, gens)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def __contains__(self, x: GroupElement) -> bool:
-        return self.contains(x)
 
 
 def _combine(group: FinAbGroup, coeffs, elements) -> GroupElement:

@@ -70,22 +70,7 @@ class QZValue:
     def __add__(self, other: "QZValue") -> "QZValue":
         return QZValue(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other: "QZValue") -> "QZValue":
-        return QZValue(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "QZValue":
-        return QZValue(-self.num, self.den)
-
-    def scale(self, n: int) -> "QZValue":
-        """n-fold sum of self (n may be negative or zero)."""
-        return QZValue(n * self.num, self.den)
-
     # -- structure ---------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        """Additive order in Q/Z (1 for the zero class)."""
-        return self.den
 
     def is_zero(self) -> bool:
         return self.num == 0

@@ -20,9 +20,10 @@ enumeration order.
 Two sound upper bounds certify most instances without branching:
 
 * size: k^(2g) must divide into |M|, so g <= floor(log_{k^2} |M|);
-* torsion: the image of W_k^g is (Z/k)^(2g) inside M[k], so for every
-  prime p | k the number of cyclic factors of M whose order p-part reaches
-  that of k must be at least 2g.
+* torsion: the image of W_k^g is (Z/k)^(2g) inside M[k], so at least 2g
+  invariant factors of M[k] must equal k.  Equivalently, for every prime
+  p | k the number of cyclic factors of M whose order p-part reaches that
+  of k must be at least 2g.
 
 A greedy descent (always take the lexicographically first morphism and
 recurse into its complement) provides the matching lower bound; when the
@@ -49,6 +50,7 @@ form repeat the work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhausted, CapExceeded, InputError, InvariantError
@@ -64,7 +66,7 @@ from .forms import (
     standard_w,
     w_power,
 )
-from .snf import prime_factorization
+from .groups import invariant_chain
 
 
 def size_bound(form: LinkingForm, k: int) -> int:
@@ -77,15 +79,10 @@ def size_bound(form: LinkingForm, k: int) -> int:
 
 
 def torsion_bound(form: LinkingForm, k: int) -> int:
-    """min over primes p | k of (number of cyclic factors whose order is
-    divisible by the exact p-part of k) // 2; counts are presentation
-    independent."""
-    bound = None
-    for p, a in prime_factorization(k):
-        q = p**a
-        cnt = sum(1 for d in form.group.orders if d % q == 0)
-        bound = cnt // 2 if bound is None else min(bound, cnt // 2)
-    return 0 if bound is None else bound
+    """Half the number of invariant factors of M[k] that equal k, rounded
+    down; M[k] is the sum of the Z/gcd(d, k), so nothing is factorized."""
+    chain = invariant_chain(math.gcd(d, k) for d in form.group.orders)
+    return sum(t == k for t in chain) // 2
 
 
 def upper_bound(form: LinkingForm, k: int) -> int:
@@ -141,7 +138,7 @@ class _SearchState:
         """The complement of f(W_k) in ``node.form``; f maps into it."""
         comp = node.complements.get(f.key())
         if comp is None:
-            comp = node.complements[f.key()] = split_along(f).complement
+            comp = node.complements[f.key()] = split_along(f)
         return comp
 
     def normal_form_key(self, node: _Node):

@@ -11,11 +11,11 @@ absolute value in the remaining submatrix, ties broken in row-major order.
 One elimination loop, ``_eliminate``, serves every caller.  It accumulates
 each unimodular transform only when its caller reads it:
 
-* ``smith_normal_form`` builds both, for ``SNFResult.solve`` (hence
-  ``GroupHom.inverse`` and the affine congruence solver), the relation
-  matrix of ``Subgroup._decomposition`` and homology;
-* ``Subgroup._snf`` builds ``left`` only: membership, basis coordinates and
-  the relation matrix read ``left`` and the diagonal, never ``right``;
+* ``smith_normal_form`` builds both, for ``SNFResult.solve`` (hence the
+  affine congruence solver) and homology;
+* ``Subgroup._decomposition`` builds ``left`` only for its lattice, whose
+  diagonal and ``left`` give the relation matrix, and ``right`` only for
+  that relation matrix, whose ``right`` gives the generators;
 * ``integer_kernel_basis`` builds ``right`` only, whose trailing columns
   span the kernel;
 * ``column_lattice_index`` (subgroup orders) and bordism presentations

@@ -76,10 +76,6 @@ class CriterionResult:
     stats: dict = field(default_factory=dict)
     seconds: float = 0.0  # wall time, set by run_suite
 
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return f"[{verdict}] {self.number:>2}. {self.name}: {self.detail} ({self.seconds:.1f}s)"
-
 
 # ---------------------------------------------------------------------------
 # 1. split injectivity
@@ -93,11 +89,11 @@ def split_injectivity(seed: int = DEFAULT_SEED, budget: int | None = None) -> Cr
     first_bad = None
     for f in morphs:
         ok = f.image_subgroup.order == 9  # injective on the 9-element block
-        split = split_along(f)
-        ok &= split.image.order * split.complement.order == 81
-        ok &= split.image.subgroup.intersection(split.complement.subgroup).order == 1
-        for a in split.image.subgroup.decomposition_gens:
-            for b in split.complement.subgroup.decomposition_gens:
+        image, comp = f.image_subgroup, split_along(f).subgroup
+        ok &= image.order * comp.order == 81
+        ok &= image.intersection(comp).order == 1
+        for a in image.decomposition_gens:
+            for b in comp.decomposition_gens:
                 ok &= form.evaluate(a, b).is_zero()
         if not ok:
             failures += 1
@@ -210,7 +206,7 @@ def stable_rank_reduction(seed: int = DEFAULT_SEED, budget: int | None = None) -
     by_nf: dict = {}
     failures = 0
     for f in morphs:
-        comp = split_along(f).complement
+        comp = split_along(f)
         key = normal_form(comp.form).summands
         if key not in by_nf:
             by_nf[key] = stable_k_rank(comp.form, 3, g_max=2, budget=budget).value

@@ -58,7 +58,6 @@ def answer_digest(result) -> str:
 @pytest.mark.parametrize("name,limit", CRITERIA, ids=[n for n, _ in CRITERIA])
 def test_criterion(name, limit):
     result = verify.run_suite(name)
-    print(result.line())
     assert result.passed, f"{name} failed: {result.detail} | {result.stats}"
     assert result.seconds < limit, (
         f"{name} took {result.seconds:.1f}s, over the {limit}s limit"

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import subprocess
@@ -7,6 +9,7 @@ from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linkforms import (
     FinAbGroup,
@@ -17,7 +20,8 @@ from linkforms import (
     standard_w,
     w_power,
 )
-from linkforms.cli import braced, main
+import linkforms.errors as errors
+from linkforms.cli import _ERROR_CODES, braced, main
 from linkforms.corpus import scramble_form
 from linkforms.documents import form_to_document
 from linkforms.forms import normal_form
@@ -528,3 +532,115 @@ def test_frozen_report(files, w3_fourth, capsys, argv):
     blob = json.dumps(report, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     assert digest == FROZEN_REPORTS[argv], f"report {digest} changed: {blob}"
+
+
+# ---------------------------------------------------------------------------
+# the argument contract
+# ---------------------------------------------------------------------------
+
+W3_DOC = form_to_document(standard_w(3))
+CONTRACT_DOCS = {
+    "w3": W3_DOC,
+    "w3sq": form_to_document(w_power(3, 2)),
+    "singular": form_to_document(LinkingForm(FinAbGroup.of(3), [[QZValue(0, 1)]])),
+    "string-orders": {**W3_DOC, "orders": ["3", "3"]},
+    "zero-order": {**W3_DOC, "orders": [0, 3]},
+    "negative-order": {**W3_DOC, "orders": [-3, 3]},
+    "huge-order": {**W3_DOC, "orders": [2**70, 3]},
+    "ragged-gram": {**W3_DOC, "gram": [["0/1"], ["2/3", "0/1"]]},
+    "float-numerator": {**W3_DOC, "gram": [[0.0, "1/3"], ["2/3", "0/1"]]},
+    "nested-gram": {**W3_DOC, "gram": [[["0/1"], "1/3"], ["2/3", "0/1"]]},
+    "not-skew": {**W3_DOC, "gram": [["0/1", "1/3"], ["1/3", "0/1"]]},
+    "not-strict": {**W3_DOC, "gram": [["1/3", "1/3"], ["2/3", "0/1"]]},
+    "zero-denominator": {**W3_DOC, "gram": [["0/1", "1/0"], ["2/3", "0/1"]]},
+    "list-document": [W3_DOC],
+    "manifold": {"k": 3, "plus": 2, "minus": 1, "circles": 1},
+    "bad-manifold": {"k": 1, "plus": 0, "minus": 0},
+}
+
+SMALL = ("-2", "-1", "0", "1", "2", "3")
+INTS = st.sampled_from(SMALL + (str(2**70),))
+# Levels k also take 2^40 and the prime 2^61 - 1: no bound factors k and no
+# first-morphism walk holds a torsion axis, so both stay cheap.
+LEVELS = st.sampled_from(SMALL + (str(2**70), str(2**40), str(2**61 - 1)))
+# Counts of requested work (padded blocks, link checks, homology degrees)
+# stay small: each unit is a rank search, a link check or a degree to list.
+# --homology-max-dim 2^70 would also list 2^70 trivial degrees, which
+# complexes._assemble builds one by one until memory runs out.
+COUNTS = st.sampled_from(SMALL)
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+@st.composite
+def contract_argv(draw):
+    """One argument vector for a cheap subcommand, the document given by
+    name; the documents are the fixtures and mutations of them, the three
+    valid forms drawn about as often as all the rest."""
+    valid = st.sampled_from(["w3", "w3sq", "singular"])
+    doc = draw(st.one_of(valid, st.sampled_from(sorted(CONTRACT_DOCS) + ["absent"])))
+    command = draw(st.sampled_from(["classify", "rank", "complex", "bordism", "verify"]))
+    if command == "classify":
+        return ["classify", doc]
+    if command == "rank":
+        return (["rank", doc, draw(LEVELS), "--budget", draw(INTS)] + draw(switch("--stable"))
+                + draw(optional("--gmax", COUNTS)) + draw(switch("--require-certified")))
+    if command == "complex":
+        # The 2160-vertex complex of W_3^2 at k = 3 takes 0.4 s to
+        # materialize, so that document keeps a cap that leaves it lazy.
+        cap = draw(optional("--materialize-cap", INTS))
+        if doc == "w3sq":
+            cap = ["--materialize-cap", draw(COUNTS)]
+        path = draw(st.one_of(st.just([]), st.tuples(INTS, INTS).map(lambda ij: ["--path", *ij])))
+        return (["complex", doc, draw(LEVELS)] + cap + draw(switch("--materialize"))
+                + draw(optional("--homology-max-dim", COUNTS))
+                + draw(optional("--verify-links", COUNTS))
+                + path + draw(optional("--seed", INTS)))
+    if command == "bordism":
+        if draw(st.booleans()):
+            return ["bordism", "--manifold", doc]
+        l_arg = draw(st.one_of(st.just([]), LEVELS.map(lambda l: [l])))
+        return ["bordism", draw(INTS), draw(LEVELS)] + l_arg
+    suite = draw(st.sampled_from(["bordism-tables", "ak-calculus"]))
+    return ["verify", suite] + draw(optional("--budget", INTS)) + draw(optional("--seed", INTS))
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    paths = {"absent": str(root / "absent.json")}
+    for name, doc in CONTRACT_DOCS.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract_argv())
+@example(["rank", "w3", str(2**61 - 1), "--budget", "3"])
+@example(["rank", "w3", str(2**40), "--stable", "--gmax", "1", "--budget", "3"])
+def test_argument_contract(contract_files, argv):
+    """Every drawn argument vector gets a report and one of README's exit
+    codes 0-7 from ``main``, which never raises; an error report's kind
+    maps to its code through ``_ERROR_CODES``; the JSON validates against
+    ``REPORT_SCHEMA``.  The explicit examples are the large levels: W_3
+    padded with W_{2^40} at k = 2^40, and W_3 at the prime k = 2^61 - 1."""
+    argv = [contract_files.get(a, a) for a in argv] + ["--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(8)
+    report = json.loads(err.getvalue() if code >= 2 else out.getvalue())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    if report["status"] == "error":
+        kind = getattr(errors, report["data"]["kind"])
+        assert code == next(c for t, c in _ERROR_CODES if issubclass(kind, t))
+    else:
+        assert code in (0, 1)

@@ -134,7 +134,7 @@ def test_radical_of_singular_form():
     zero_form = LinkingForm(G, [[QZValue.zero()]])
     assert not zero_form.is_nonsingular()
     assert zero_form.radical().order == 3
-    assert standard_w(3).radical().is_trivial()
+    assert standard_w(3).radical().order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +236,27 @@ def test_morphism_is_injective_with_w_image():
 def test_split_w3_squared():
     form = w_power(3, 2)
     f = first_w_morphism(form, 3)
-    split = split_along(f)
-    assert split.image.order == 9
-    assert split.complement.order == 9
-    assert normal_form(split.complement.form) == normal_form(standard_w(3))
-    # retraction restricts to the identity on the image through f: it maps
-    # a*x + b*y back to the source coordinates (a, b)
+    comp = split_along(f)
+    assert f.image_subgroup.order == 9
+    assert comp.order == 9
+    assert normal_form(comp.form) == normal_form(standard_w(3))
+    # the retraction that split_along checks restricts to the identity on
+    # the image through f: it maps a*x + b*y back to the source
+    # coordinates (a, b), and it kills the complement
+    retraction = forms._retraction(f)
     for a in range(3):
         for b in range(3):
             z = f.x.scale(a) + f.y.scale(b)
-            assert split.retraction(z).coeffs == (a, b)
+            assert retraction(z).coeffs == (a, b)
+    assert all(retraction(z).is_zero() for z in comp.subgroup.elements())
 
 
 def test_split_mixed_form():
     form = direct_sum(standard_w(3), standard_w(9))
     for m in random.Random(2).sample(morphisms_from_w(form, 3), 10):
-        split = split_along(m)
-        assert split.image.order * split.complement.order == 729
-        assert normal_form(split.complement.form) == normal_form(standard_w(9))
+        comp = split_along(m)
+        assert m.image_subgroup.order * comp.order == 729
+        assert normal_form(comp.form) == normal_form(standard_w(9))
 
 
 @pytest.mark.parametrize(
@@ -288,11 +291,11 @@ def test_split_rejects_a_complement_of_the_wrong_order(monkeypatch):
 def test_split_is_orthogonal_decomposition():
     form = w_power(3, 2)
     f = first_w_morphism(form, 3)
-    split = split_along(f)
-    for a in split.image.subgroup.elements():
-        for b in split.complement.subgroup.elements():
+    image, comp = f.image_subgroup, split_along(f).subgroup
+    for a in image.elements():
+        for b in comp.elements():
             assert form.evaluate(a, b).is_zero()
-    both = split.image.subgroup.generators + split.complement.subgroup.generators
+    both = image.generators + comp.generators
     assert Subgroup(form.group, both).order == 81
 
 
@@ -318,11 +321,13 @@ def test_complement_evaluation_restricts():
     form = direct_sum(standard_w(3), standard_w(9))
     f = first_w_morphism(form, 3)
     comp = orthogonal_complement(form, f.image_subgroup)
-    for a in comp.subgroup.elements():
-        for b in comp.subgroup.elements():
-            a_sub = comp.form.group.element(comp.subgroup.to_sub_coords(a))
-            b_sub = comp.form.group.element(comp.subgroup.to_sub_coords(b))
-            assert comp.form.evaluate(a_sub, b_sub) == form.evaluate(a, b)
+    members = list(comp.form.group.enumerate_elements())
+    assert len(members) == comp.order
+    for a in members:
+        for b in members:
+            assert comp.form.evaluate(a, b) == form.evaluate(
+                comp.embed_element(a), comp.embed_element(b)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +453,18 @@ def test_extend_to_automorphism_cases():
 
 
 def test_morphism_compose_and_inverse():
+    """The witness of a scramble composed with its inverse, found by
+    enumeration and checked as a form morphism, is the identity."""
     form = w_power(3, 2)
     rng = random.Random(4)
     scrambled, witness = scramble_form(form, rng)
-    inv = witness.inverse()
-    for x in rng.sample(list(form.group.enumerate_elements()), 20):
-        assert inv(witness(x)) == x
-    ident = witness.compose(inv)
-    for x in rng.sample(list(form.group.enumerate_elements()), 20):
-        assert ident(x) == x
+    preimage = {witness(x): x for x in scrambled.group.enumerate_elements()}
+    assert len(preimage) == form.group.order
+    inv = FormMorphism(form, scrambled, [preimage[g] for g in map(form.group.generator, range(4))])
+    for ident in (witness.compose(inv), inv.compose(witness)):
+        assert ident.is_automorphism()
+        for x in rng.sample(list(ident.source.group.enumerate_elements()), 20):
+            assert ident(x) == x
 
 
 def test_identity_morphism():
@@ -580,6 +588,15 @@ def test_first_pair_after_6561_radical_rows_is_fast():
     elapsed = time.perf_counter() - start
     assert f.key() == ((0, 1) + (0,) * 8, (2, 0) + (0,) * 8)
     assert elapsed < 1.0
+
+
+def test_first_w_morphism_holds_no_torsion_axis():
+    """At k = 2^61 - 1 the torsion axes of W_k have 2^61 - 1 entries each;
+    the row walk turns indices into digits and holds none of them.  Row 0
+    has no partner and row 1 = e_1 pairs first with (k - 1) e_0."""
+    k = 2**61 - 1
+    f = first_w_morphism(standard_w(k), k)
+    assert f.key() == ((0, 1), (k - 1, 0))
 
 
 @pytest.mark.parametrize("modulus, g, k", [(3, 3, 3), (2 * 1048583, 2, 2)], ids=["W_3^3", "W_2p^2"])

@@ -20,17 +20,17 @@ def test_arithmetic():
     a = QZValue(1, 3)
     b = QZValue(1, 6)
     assert a + b == QZValue(1, 2)
-    assert a - a == QZValue.zero()
-    assert -a == QZValue(2, 3)
-    assert a.scale(3).is_zero()
-    assert a.scale(-1) == -a
+    assert a + QZValue(2, 3) == QZValue.zero()
+    assert (a + a + a).is_zero()
+    assert not (a + a).is_zero()
 
 
 def test_order():
-    assert QZValue.zero().order == 1
-    assert QZValue(1, 3).order == 3
-    assert QZValue(3, 9).order == 3
-    assert QZValue(2, 9).order == 9
+    """The reduced denominator is the additive order (1 for the zero class)."""
+    assert QZValue.zero().den == 1
+    assert QZValue(1, 3).den == 3
+    assert QZValue(3, 9).den == 3
+    assert QZValue(2, 9).den == 9
 
 
 def test_parse():
@@ -66,16 +66,17 @@ def test_str_round_trip(v):
 def test_group_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert a + (-a) == QZValue.zero()
+    assert a + QZValue(-a.num, a.den) == QZValue.zero()
 
 
 @given(fractions)
 def test_order_is_minimal(v):
-    n = v.order
-    assert v.scale(n).is_zero()
-    for d in range(1, n):
-        if n % d == 0:
-            assert not v.scale(d).is_zero() or d == n
+    """Adding v to itself reaches zero first after den steps."""
+    multiple = v
+    for _ in range(1, v.den):
+        assert not multiple.is_zero()
+        multiple = multiple + v
+    assert multiple.is_zero()
 
 
 big_or_small = st.one_of(

@@ -32,7 +32,8 @@ from linkforms import (
     w_power,
 )
 from linkforms.corpus import scramble_form
-from linkforms.rank import _distinct_image_branches
+from linkforms.rank import _distinct_image_branches, torsion_bound
+from linkforms.snf import prime_factorization
 
 
 def orthogonal(form, f, g):
@@ -138,6 +139,38 @@ def test_scrambled_oracle_round_trip():
     res = k_rank(scrambled, 2)
     assert res.certified
     assert res.value == clique_rank_oracle(scrambled, 2) == 2
+
+
+def per_prime_torsion_bound(orders, k):
+    """min over primes p | k of (number of orders divisible by the exact
+    p-part of k) // 2, the torsion bound as the rank module states it."""
+    return min(sum(d % p**a == 0 for d in orders) for p, a in prime_factorization(k)) // 2
+
+
+# Small orders, and large ones that share prime powers with each other and
+# that trial division still factors quickly.
+bound_orders = st.one_of(
+    st.integers(2, 400), st.sampled_from([2**40, 2**41 * 3, 2**12 * 3**5, 2**5 * 1048573])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(bound_orders, max_size=6), bound_orders)
+def test_torsion_bound_matches_per_prime_count(orders, k):
+    """The chain count of M[k] against the per-prime oracle."""
+    form = LinkingForm._from_numerators(FinAbGroup(tuple(orders)), 1, [[0] * len(orders)] * len(orders))
+    assert torsion_bound(form, k) == per_prime_torsion_bound(orders, k)
+
+
+def test_rank_at_a_large_prime_k():
+    """At k = 2^61 - 1 the bounds factor nothing and the greedy chain walks
+    no torsion axis, so both answers are certified by the bounds."""
+    p = 2**61 - 1
+    for form, value in ((standard_w(3), 0), (standard_w(p), 1)):
+        res = k_rank(form, p)
+        assert (res.value, res.certified, res.nodes) == (value, True, 0)
+        stable = stable_k_rank(form, p, g_max=1)
+        assert (stable.value, stable.certified) == (value, True)
 
 
 def test_stable_rank_w3():
