@@ -3,13 +3,19 @@
 Every linking-form value on the k-torsion of a group with common Gram
 denominator D is an integer numerator mod D, so bulk pairing evaluation,
 morphism enumeration and orthogonality tests reduce to integer matrix work.
-Each kernel is one numpy expression that reduces mod D after every matrix
-product, and it runs unchanged on any integer dtype: int64 arrays where
+Each kernel reduces mod D after every matrix product, and it runs
+unchanged on any integer dtype: int64 arrays where
 :func:`fits_int64` proves that every intermediate fits, and ``dtype=object``
 arrays of Python ints, exact at any size, everywhere else.  The caller
 chooses the dtype (``LinkingForm._w_rows``); the kernels never branch on it.
 A single morphism W_k -> M, first or index-th, needs no kernel: its
 partner is counted out exactly (``forms._partner``).
+
+Tables larger than one block of ``_BLOCK_CELLS`` cells are computed block
+by block.  The orthogonality adjacency of V vertices pairs only the u
+distinct images (u x u cells, far fewer than V x V for a block-morphism
+complex), so its transient memory is that table and fixed-size blocks, and
+the V x V boolean result is the only array that grows with V^2.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ USING_NUMBA = False
 # int64: r * dmax * dmax * D <= 2**62 with the margins below.
 _MOD_LIMIT = 1 << 20
 _RANK_LIMIT = 64
-# Cells (rows x columns) of one block of a pairing table; bounds the
-# transient memory of the pair searches.
+# Cells (rows x columns) of one block of a pairing table or adjacency;
+# bounds the transient memory of the pair searches, the orthogonality
+# adjacency and the flag-complex symmetry check.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -53,18 +60,32 @@ def pairs_hitting(X, N, D, target, limit):
     return out, total
 
 
-def orth_adjacency(X, Y, N, D):
+def orth_adjacency(U, xi, yi, N, D):
     """Boolean V x V matrix: both images mutually orthogonal.
 
-    Vertex i is the morphism with generator images (X_i, Y_i); adjacency
-    needs all four cross pairings to vanish mod D.
+    U lists distinct elements; vertex i is the morphism with generator
+    images (U[xi[i]], U[yi[i]]), and adjacency needs all four cross
+    pairings to vanish mod D.  Each pairing is computed once per pair of
+    elements, as the u x u table Z = (U N U^T mod D == 0), in row blocks.
+    Column j of W = Z[:, xi] & Z[:, yi] marks the elements orthogonal to
+    both images of vertex j, so column j of the result is W[xi, j] & W[yi, j].
+    The result is filled in column blocks: each block of W is built, and
+    its rows are gathered by xi and by yi (whole-row copies, which is why
+    the blocks are columns).  Every transient array has at most
+    ``_BLOCK_CELLS`` cells, apart from the u x u table.
     """
-    XN = (X @ N) % D
-    YN = (Y @ N) % D
-    out = (XN @ X.T) % D == 0
-    out &= (XN @ Y.T) % D == 0
-    out &= (YN @ X.T) % D == 0
-    out &= (YN @ Y.T) % D == 0
+    u, V = U.shape[0], len(xi)
+    UN = (U @ N) % D
+    Z = np.empty((u, u), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // max(u, 1))
+    for start in range(0, u, rows):
+        Z[start:start + rows] = (UN[start:start + rows] @ U.T) % D == 0
+    out = np.empty((V, V), dtype=bool)
+    cols = max(1, _BLOCK_CELLS // max(V, u, 1))
+    for start in range(0, V, cols):
+        stop = start + cols
+        W = Z.take(xi[start:stop], axis=1) & Z.take(yi[start:stop], axis=1)
+        np.logical_and(W.take(xi, axis=0), W.take(yi, axis=0), out=out[:, start:stop])
     return out
 
 

@@ -15,10 +15,12 @@ and no condition, matching the usual conventions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import BudgetExhausted, CapExceeded, InputError
 from .groups import AbGroupDescriptor
 from .snf import smith_normal_form
@@ -94,6 +96,21 @@ class _Complex:
         return self.n_vertices > 0 and len(self.components()) == 1
 
 
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """adj == adj.T.  Above one block of ``_BLOCK_CELLS`` cells, square tiles
+    on and above the diagonal are compared with their mirror tiles, so that
+    a large adjacency needs no transposed copy."""
+    n = len(adj)
+    if n * n <= _kernels._BLOCK_CELLS:
+        return np.array_equal(adj, adj.T)
+    b = math.isqrt(_kernels._BLOCK_CELLS)
+    return all(
+        np.array_equal(adj[i:i + b, j:j + b], adj[j:j + b, i:i + b].T)
+        for i in range(0, n, b)
+        for j in range(i, n, b)
+    )
+
+
 class FlagComplex(_Complex):
     """Clique complex of a finite graph.
 
@@ -108,7 +125,7 @@ class FlagComplex(_Complex):
         adj = np.asarray(adjacency, dtype=bool)
         if adj.shape != (n, n):
             raise InputError("adjacency matrix has wrong shape")
-        if not np.array_equal(adj, adj.T):
+        if not _is_symmetric(adj):
             raise InputError("adjacency matrix must be symmetric")
         if n and adj.diagonal().any():
             raise InputError("no loops allowed")

@@ -315,7 +315,7 @@ class FormMorphism:
         # Both forms are strictly skew, so the diagonal (0 = 0) and the lower
         # triangle (by skewness) follow from the entries above the diagonal.
         Ds, Dt = source.denominator, target.denominator
-        for i, row in enumerate(source.numerators):
+        for i, row in enumerate(source.numerators[:-1]):
             got = target._pairings(images[i], images[i + 1:])
             for j, (g, want) in enumerate(zip(got, row[i + 1:]), i + 1):
                 if (g * Ds - want * Dt) % (Ds * Dt):

@@ -12,7 +12,11 @@ in g(W), then b_W(w', w) = b(f w', z) = 0 for every w', so w lies in the
 radical of the nonsingular W_k, which is 0; hence z = 0.  So lazy and
 materialized complexes have one edge relation, orthogonality: the lazy
 queries test it pair by pair with ``images_orthogonal``, the materialized
-1-skeleton in bulk with ``_orthogonality``.  ``LComplex.vertex`` admits
+1-skeleton in bulk with ``_orthogonality``.  The bulk relation pairs each
+pair of distinct image elements once (a block complex has far fewer
+distinct images than vertices) and reads vertex adjacency off that table,
+so a materialized complex costs V^2 bytes of adjacency plus fixed-size
+blocks (``_kernels.orth_adjacency``).  ``LComplex.vertex`` admits
 only morphisms from the standard W_k into the complex's form, which is
 the lemma's hypothesis; ``tests/test_lcomplex.py`` checks the lemma
 against an SNF oracle for the trivial intersection.
@@ -39,6 +43,7 @@ from .forms import (
     LinkingForm,
     Subform,
     _retraction,
+    _w_pairs,
     count_w_morphisms,
     first_w_morphism,
     full_subgroup,
@@ -46,6 +51,7 @@ from .forms import (
     morphisms_from_w,
     orthogonal_complement,
     standard_w,
+    w_morphism,
     w_morphism_by_index,
 )
 from .groups import Subgroup
@@ -69,13 +75,19 @@ def images_orthogonal(f: FormMorphism, g: FormMorphism) -> bool:
     return all(form._pairings(u, (g.x, g.y)) == [0, 0] for u in (f.x, f.y))
 
 
-def _orthogonality(form: LinkingForm, k: int, morphs) -> np.ndarray:
-    """Pairwise orthogonality of the images of ``morphs``, morphisms
-    W_k -> form: the edge relation off the diagonal (module docstring)."""
+def _orthogonality(form: LinkingForm, k: int, keys) -> np.ndarray:
+    """Pairwise orthogonality of the images of the morphisms W_k -> form
+    with keys ``keys``, (x, y) coefficient tuples: the edge relation off the
+    diagonal (module docstring).  Each distinct coefficient tuple is one
+    row of the kernel's element array."""
     _, N = form._w_rows(k)
-    X = np.array([m.x.coeffs for m in morphs], dtype=N.dtype)
-    Y = np.array([m.y.coeffs for m in morphs], dtype=N.dtype)
-    return _kernels.orth_adjacency(X, Y, N, form.denominator)
+    index: dict[tuple, int] = {}
+    pairs = np.array(
+        [[index.setdefault(c, len(index)) for c in key] for key in keys], dtype=np.intp
+    ).reshape(-1, 2)
+    U = np.array(list(index), dtype=N.dtype).reshape(len(index), N.shape[0])
+    xi, yi = np.ascontiguousarray(pairs.T)
+    return _kernels.orth_adjacency(U, xi, yi, N, form.denominator)
 
 
 def w_power_vertex_count(k: int, g: int) -> int:
@@ -100,11 +112,14 @@ def w_power_vertex_count(k: int, g: int) -> int:
 class LComplex:
     """Handle on the block-morphism complex of ``form`` at level ``k``."""
 
-    def __init__(self, form: LinkingForm, k: int, morphisms=None, flag=None):
+    def __init__(self, form: LinkingForm, k: int, keys=None, flag=None):
         self.form = form
         self.k = k
         self.vertex_count = count_w_morphisms(form, k)
-        self._morphisms = morphisms
+        # keys of the materialized vertices; each FormMorphism is built, and
+        # checked, on its first access
+        self._keys = keys
+        self._vertices: dict[int, FormMorphism] = {}
         self.flag = flag
         self._f0_cache = None
         self._key_index = None
@@ -121,18 +136,22 @@ class LComplex:
         i = int(i)
         if not 0 <= i < self.vertex_count:
             raise InputError(f"vertex index {i} out of range")
-        if self._morphisms is not None:
-            return self._morphisms[i]
-        return w_morphism_by_index(self.form, self.k, i)
+        if self._keys is None:
+            return w_morphism_by_index(self.form, self.k, i)
+        f = self._vertices.get(i)
+        if f is None:
+            x, y = map(self.form.group.element, self._keys[i])
+            f = self._vertices[i] = w_morphism(self.form, self.k, x, y)
+        return f
 
     def index_of(self, f) -> int:
         if isinstance(f, (int, np.integer)):
             return int(f)
         f = self.vertex(f)
-        if self._morphisms is None:
+        if self._keys is None:
             raise CapExceeded("index lookup requires materialization")
         if self._key_index is None:
-            self._key_index = {m.key(): i for i, m in enumerate(self._morphisms)}
+            self._key_index = {key: i for i, key in enumerate(self._keys)}
         try:
             return self._key_index[f.key()]
         except KeyError:
@@ -176,13 +195,11 @@ def build_l_complex(
                 cap=materialize_cap,
             )
         return LComplex(form, k)
-    morphs = morphisms_from_w(form, k, cap=max(count, 1))
-    n = len(morphs)
+    keys = _w_pairs(form, k, cap=max(count, 1))
+    n = len(keys)
     if n == 0:
-        return LComplex(
-            form, k, morphisms=[], flag=FlagComplex([], np.zeros((0, 0), dtype=bool))
-        )
-    adj = _orthogonality(form, k, morphs)
+        return LComplex(form, k, keys=[], flag=FlagComplex([], np.zeros((0, 0), dtype=bool)))
+    adj = _orthogonality(form, k, keys)
     np.fill_diagonal(adj, False)
     edges = int(np.count_nonzero(adj)) // 2  # adj is symmetric
     if edges > DEFAULT_EDGE_CAP:
@@ -190,7 +207,7 @@ def build_l_complex(
             f"{edges} edges exceed the edge cap", needed=edges, cap=DEFAULT_EDGE_CAP
         )
     flag = FlagComplex(tuple(range(n)), adj)
-    return LComplex(form, k, morphisms=morphs, flag=flag)
+    return LComplex(form, k, keys=keys, flag=flag)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +268,8 @@ def verify_link_iso(L: LComplex, sigma) -> bool:
     else:
         compl = Subform(form, full_subgroup(form.group))
     inner = morphisms_from_w(compl.form, k, cap=LINK_EDGE_PAIR_CAP)
-    embedded = [compl.embed_morphism(m) for m in inner]
-    if {e.key() for e in embedded} != _ambient_link_keys(L, morphs):
+    embedded_keys = [compl.embed_morphism(m).key() for m in inner]
+    if set(embedded_keys) != _ambient_link_keys(L, morphs):
         return False
     n = len(inner)
     if n * (n - 1) // 2 > LINK_EDGE_PAIR_CAP:
@@ -262,7 +279,8 @@ def verify_link_iso(L: LComplex, sigma) -> bool:
             cap=LINK_EDGE_PAIR_CAP,
         )
     return n == 0 or np.array_equal(
-        _orthogonality(form, k, embedded), _orthogonality(compl.form, k, inner)
+        _orthogonality(form, k, embedded_keys),
+        _orthogonality(compl.form, k, [m.key() for m in inner]),
     )
 
 

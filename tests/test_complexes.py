@@ -30,7 +30,7 @@ from linkforms import (
     preserves_links,
     relative_homology,
 )
-from linkforms import complexes
+from linkforms import _kernels, complexes
 from linkforms.corpus import disjoint_double, random_action_instance, random_flag_complex
 from linkforms.snf import prime_factorization
 from linkforms.verify import RP2_FACES
@@ -112,6 +112,21 @@ def test_flag_complex_validation():
     refl = np.ones((2, 2), dtype=bool)
     with pytest.raises(InputError):
         FlagComplex([0, 1], refl)  # self-adjacency
+
+
+def test_flag_complex_symmetry_check_in_tiles(monkeypatch):
+    """With 4 x 4 tiles on an 11-vertex graph (partial tiles at the edges),
+    breaking the symmetry at any one off-diagonal cell is refused."""
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 16)
+    n = 11
+    upper = np.triu(np.random.default_rng(8).random((n, n)) < 0.5, 1)
+    adj = upper | upper.T
+    FlagComplex(range(n), adj)
+    for i, j in itertools.permutations(range(n), 2):
+        bad = adj.copy()
+        bad[i, j] = not bad[i, j]
+        with pytest.raises(InputError, match="symmetric"):
+            FlagComplex(range(n), bad)
 
 
 def test_flag_faces_are_cliques():

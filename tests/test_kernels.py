@@ -89,23 +89,78 @@ def test_pair_searches_match_argwhere(monkeypatch, cells, case):
     assert np.array_equal(np.asarray(pairs).reshape(-1, 2), want)
 
 
+def four_products(X, Y, N, D):
+    """The adjacency as four V x V pairing products, one per image pair."""
+    XN = (X @ N) % D
+    YN = (Y @ N) % D
+    out = (XN @ X.T) % D == 0
+    out &= (XN @ Y.T) % D == 0
+    out &= (YN @ X.T) % D == 0
+    out &= (YN @ Y.T) % D == 0
+    return out
+
+
 def test_orth_adjacency_matches_reference():
     rng = np.random.default_rng(4)
     D = 9
-    n, r = 11, 4
-    X = rng.integers(0, D, size=(n, r)).astype(np.int64)
-    Y = rng.integers(0, D, size=(n, r)).astype(np.int64)
+    u, n, r = 8, 11, 4
+    U = rng.integers(0, D, size=(u, r)).astype(np.int64)
+    U[5] = U[2]  # one element listed twice
     N = rng.integers(0, D, size=(r, r)).astype(np.int64)
-    got = np.asarray(orth_adjacency(X, Y, N, D))
+    xi = rng.integers(0, u, size=n)
+    yi = rng.integers(0, u, size=n)
+    yi[3] = xi[3]  # one vertex with equal images
+    got = np.asarray(orth_adjacency(U, xi, yi, N, D))
     assert got.shape == (n, n)
     for i in range(n):
         for j in range(n):
             vals = [
                 reference_pair_table(A[None, :], N, B[None, :], D)[0, 0]
-                for A in (X[i], Y[i])
-                for B in (X[j], Y[j])
+                for A in (U[xi[i]], U[yi[i]])
+                for B in (U[xi[j]], U[yi[j]])
             ]
             assert got[i, j] == all(v == 0 for v in vals)
+
+
+@st.composite
+def adjacency_instances(draw):
+    """(U, xi, yi, N, D) as Python-int object arrays.  U repeats rows of a
+    small pool and the index arrays repeat indices, so the distinct-element
+    table is read through repeated elements and repeated images."""
+    D = draw(st.one_of(st.integers(2, 30), st.integers((1 << 20) + 1, 1 << 70)))
+    r = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, D - 1))
+    row = st.lists(entry, min_size=r, max_size=r)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    U = np.array([pool[p] for p in picks], dtype=object).reshape(len(picks), r)
+    N = np.array(draw(st.lists(row, min_size=r, max_size=r)), dtype=object).reshape(r, r)
+    V = draw(st.integers(0, 40))
+    index = st.lists(st.integers(0, len(picks) - 1), min_size=V, max_size=V)
+    xi = np.array(draw(index), dtype=np.intp)
+    yi = np.array(draw(index), dtype=np.intp)
+    return U, xi, yi, N, D
+
+
+@pytest.mark.parametrize("cells", [_kernels._BLOCK_CELLS, 64])
+@settings(max_examples=60, deadline=None)
+@given(adjacency_instances())
+def test_orth_adjacency_matches_four_products(cells, instance):
+    """The distinct-element kernel against the four-product expression on
+    the vertices' images, on int64 arrays inside the gate and on Python-int
+    arrays always, with the default block budget and with one of 64 cells,
+    which splits the larger instances into blocks of a few columns."""
+    U, xi, yi, N, D = instance
+    copies = [U]
+    if fits_int64(D, D, U.shape[1]):
+        copies.append(U.astype(np.int64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_CELLS", cells)
+        for A in copies:
+            M = N.astype(A.dtype)
+            got = orth_adjacency(A, xi, yi, M, D)
+            assert got.dtype == bool and got.flags.c_contiguous
+            assert np.array_equal(got, four_products(A[xi], A[yi], M, D))
 
 
 def test_fits_int64_bounds():
@@ -128,7 +183,9 @@ def check_kernels(X, Y, N, D, cell, zero_rows):
     pairs, total = pairs_hitting(X, N, D, target, -1)
     assert total == len(want)
     assert np.array_equal(np.asarray(pairs).reshape(-1, 2), want)
-    assert np.array_equal(orth_adjacency(X, Y, N, D), reference_adjacency(X, Y, N, D))
+    m = len(X)
+    adj = orth_adjacency(np.concatenate([X, Y]), np.arange(m), np.arange(m, 2 * m), N, D)
+    assert np.array_equal(adj, reference_adjacency(X, Y, N, D))
     cross = reference_pair_table(X, N, Y, D)
     for i in range(len(X)):
         assert np.array_equal(row_values(X[i], N, Y, D), cross[i])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -265,6 +266,33 @@ def test_complex_outside_int64_gate():
     for i, j in itertools.combinations(range(len(morphs)), 2):
         assert L.flag.adj[i, j] == images_orthogonal(morphs[i], morphs[j])
     assert not L.flag.adj.diagonal().any()
+
+
+def test_exact_adjacency_equals_int64():
+    """The 2-torsion of W_{2p}^3, p = 1048583, is W_2^3 with every coefficient
+    scaled by p, in the same lexicographic order: the exact-path adjacency
+    must equal the int64-path adjacency of W_2^3."""
+    exact_form, int_form = w_power(2 * 1048583, 3), w_power(2, 3)
+    assert exact_form._np_numerators is None and int_form._np_numerators is not None
+    exact, ints = build_l_complex(exact_form, 2), build_l_complex(int_form, 2)
+    assert exact.vertex_count == ints.vertex_count == 2016
+    assert np.array_equal(exact.flag.adj, ints.flag.adj)
+    assert exact.edge_count() == 120960
+    assert len(exact.components()) == 1
+
+
+def test_materialized_build_memory():
+    """Building W_3^2 at k = 3 holds the V x V adjacency plus blocks of fixed
+    size; four V x V pairing products would read about 17 V^2 bytes."""
+    form = w_power(3, 2)
+    tracemalloc.start()
+    try:
+        L = build_l_complex(form, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.vertex_count == 2160
+    assert peak < 3 * L.vertex_count ** 2
 
 
 def test_lazy_below_forced_cap():
