@@ -30,7 +30,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     invariant_chain,
-    solve_affine_congruence_system,
     solve_congruence_system,
 )
 from .forms import (

@@ -394,8 +394,15 @@ def homology(K, max_dim: int | None = None) -> HomologyResult:
     homology is additive over disjoint unions, so the components' groups
     are summed degree by degree, torsion as one invariant-factor chain.
     ``top_dim`` is None unless every component's enumeration reached an
-    empty dimension.
+    empty dimension.  A max_dim above DEFAULT_SIMPLEX_BUDGET raises
+    CapExceeded: each degree up to max_dim is listed, trivial or not.
     """
+    if max_dim is not None and max_dim > DEFAULT_SIMPLEX_BUDGET:
+        raise CapExceeded(
+            f"homology max_dim {max_dim} exceeds cap {DEFAULT_SIMPLEX_BUDGET}",
+            needed=max_dim,
+            cap=DEFAULT_SIMPLEX_BUDGET,
+        )
     comps = K.components()
     if len(comps) <= 1:
         return _homology_single(K, max_dim)

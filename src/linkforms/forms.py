@@ -9,9 +9,11 @@ strictness (b(x, x) = 0 for every x, including 2-torsion) follows.  The
 callers, and ``evaluate`` returns a ``QZValue``; inside the package every
 pairing is an integer numerator, through ``dual_functional_rows``.  The
 bulk enumeration paths hand coefficient arrays to ``linkforms._kernels``:
-int64 inside the ``fits_int64`` gate, exact Python ints outside it;
-everything structural (complements, splittings, classification) runs
-exact through the Smith-normal-form machinery in ``linkforms.groups``.
+int64 inside the ``fits_int64`` gate, exact Python ints outside it.
+Complements and splittings run exact through the Smith-normal-form
+machinery in ``linkforms.groups``; the one congruence b(x, y) = 1/k that
+enumeration, classification and automorphism extension solve is counted
+out by ``_partner``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     invariant_chain,
-    solve_affine_congruence_system,
     solve_congruence_system,
 )
 from .qz import QZValue
@@ -669,8 +670,7 @@ def hyperbolic_basis(form: LinkingForm) -> list[tuple[int, GroupElement, GroupEl
         # order e, so D < e can only mean the radical was nontrivial.
         raise SingularFormError("gram denominator below group exponent")
     x = form.group.element((1,) * form.group.rank)
-    coeffs, _ = form.dual_functional_rows(x)
-    y = solve_affine_congruence_system(form.group, [(coeffs, D)], [D // e])
+    y = _partner(form, e, x, 0)
     if y is None:
         raise SingularFormError("duality failed to attain 1/e; form is singular")
     out = _crt_split_block(form, x, y, e)
@@ -822,12 +822,15 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     if v.is_zero():
         return identity_morphism(form)
     m = math.gcd(k, *v.coeffs)
-    vprime = group.element(tuple(c // m for c in v.coeffs))
+    # v / m need not be primitive when k is composite; adding t k/m to its
+    # first coordinate keeps m v' = v, and a prime dividing gcd(k, v / m)
+    # cannot divide k/m, so some t < k leaves no prime of k in common.
+    c = [a // m for a in v.coeffs]
+    c[0] += k // m * next(t for t in range(k) if math.gcd(k, c[0] + t * k // m, *c[1:]) == 1)
+    vprime = group.element(c)
     # b(w, v') = 1/k has a solution because v' is primitive in a
-    # nonsingular k-torsion form; b(w, v') = -b(v', w) by skewness.
-    c, D = form.dual_functional_rows(vprime)
-    coeffs = [-a % D for a in c]
-    w = solve_affine_congruence_system(group, [(coeffs, D)], [D // k])
+    # nonsingular k-torsion form; b(w, v') = b(-v', w) by skewness.
+    w = _partner(form, k, vprime.scale(-1), 0)
     if w is None:
         raise SingularFormError("could not complete v' to a block; form is singular")
     f = w_morphism(form, k, w, vprime)

@@ -35,7 +35,6 @@ from .snf import (
     _eliminate,
     integer_kernel_basis,
     column_lattice_index,
-    smith_normal_form,
 )
 
 ENUMERATION_CAP = 10**8
@@ -368,23 +367,6 @@ def solve_congruence_system(group: FinAbGroup, rows) -> Subgroup:
         if not g.is_zero():
             gens.append(g)
     return Subgroup(group, gens)
-
-
-def solve_affine_congruence_system(group: FinAbGroup, rows, targets):
-    """One element z with sum_i c_i z_i = t mod m per row, or None.
-
-    Same well-posedness requirement as solve_congruence_system.
-    """
-    targets = [int(t) for t in targets]
-    stacked = _stack_congruences(group, rows)
-    if len(targets) != len(stacked):
-        raise InputError("need one target per congruence row")
-    if not stacked:
-        return group.zero()
-    sol = smith_normal_form(stacked).solve(targets)
-    if sol is None:
-        return None
-    return GroupElement(group, tuple(sol[: group.rank]))
 
 
 def invariant_chain(orders) -> tuple[int, ...]:

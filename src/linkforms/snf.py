@@ -11,8 +11,12 @@ absolute value in the remaining submatrix, ties broken in row-major order.
 One elimination loop, ``_eliminate``, serves every caller.  It accumulates
 each unimodular transform only when its caller reads it:
 
-* ``smith_normal_form`` builds both, for ``SNFResult.solve`` (hence the
-  affine congruence solver) and homology;
+* ``smith_normal_form`` builds both.  Its last caller is homology
+  (``complexes._assemble``), which reads only ``diag`` and ``rank``.  The
+  transforms stay for now: a diagonal-only homology elimination runs a
+  W_3^2 homology about four times faster, which changes what the
+  benchmark's tail latency reads (a homology operation rather than a
+  small one), so it waits for a benchmark that reports the two apart;
 * ``Subgroup._decomposition`` builds ``left`` only for its lattice, whose
   diagonal and ``left`` give the relation matrix, and ``right`` only for
   that relation matrix, whose ``right`` gives the generators;
@@ -51,25 +55,6 @@ class SNFResult:
     diag: list[int]
     right: Matrix
     rank: int
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        """One integer solution of A @ x = b for the A this SNF came from,
-        or None when none exists."""
-        m, n = len(self.left), len(self.right)
-        lb = [sum(self.left[i][t] * b[t] for t in range(m)) for i in range(m)]
-        y = [0] * n
-        for i in range(min(m, n)):
-            d = self.diag[i]
-            if d != 0:
-                if lb[i] % d != 0:
-                    return None
-                y[i] = lb[i] // d
-            elif lb[i] != 0:
-                return None
-        for i in range(min(m, n), m):
-            if lb[i] != 0:
-                return None
-        return [sum(self.right[i][t] * y[t] for t in range(n)) for i in range(n)]
 
 
 def _eliminate(A: Matrix, want_left: bool = False, want_right: bool = False):

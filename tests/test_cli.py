@@ -563,10 +563,8 @@ INTS = st.sampled_from(SMALL + (str(2**70),))
 # Levels k also take 2^40 and the prime 2^61 - 1: no bound factors k and no
 # first-morphism walk holds a torsion axis, so both stay cheap.
 LEVELS = st.sampled_from(SMALL + (str(2**70), str(2**40), str(2**61 - 1)))
-# Counts of requested work (padded blocks, link checks, homology degrees)
-# stay small: each unit is a rank search, a link check or a degree to list.
-# --homology-max-dim 2^70 would also list 2^70 trivial degrees, which
-# complexes._assemble builds one by one until memory runs out.
+# Counts of requested work (padded blocks, link checks) stay small: each
+# unit is a rank search or a link check.
 COUNTS = st.sampled_from(SMALL)
 
 
@@ -599,7 +597,7 @@ def contract_argv(draw):
             cap = ["--materialize-cap", draw(COUNTS)]
         path = draw(st.one_of(st.just([]), st.tuples(INTS, INTS).map(lambda ij: ["--path", *ij])))
         return (["complex", doc, draw(LEVELS)] + cap + draw(switch("--materialize"))
-                + draw(optional("--homology-max-dim", COUNTS))
+                + draw(optional("--homology-max-dim", INTS))
                 + draw(optional("--verify-links", COUNTS))
                 + path + draw(optional("--seed", INTS)))
     if command == "bordism":
@@ -626,12 +624,15 @@ def contract_files(tmp_path_factory):
 @given(contract_argv())
 @example(["rank", "w3", str(2**61 - 1), "--budget", "3"])
 @example(["rank", "w3", str(2**40), "--stable", "--gmax", "1", "--budget", "3"])
+@example(["complex", "w3", "3", "--homology-max-dim", str(2**70)])
 def test_argument_contract(contract_files, argv):
     """Every drawn argument vector gets a report and one of README's exit
     codes 0-7 from ``main``, which never raises; an error report's kind
     maps to its code through ``_ERROR_CODES``; the JSON validates against
     ``REPORT_SCHEMA``.  The explicit examples are the large levels: W_3
-    padded with W_{2^40} at k = 2^40, and W_3 at the prime k = 2^61 - 1."""
+    padded with W_{2^40} at k = 2^40, and W_3 at the prime k = 2^61 - 1;
+    and --homology-max-dim 2^70, past the simplex budget, which homology
+    refuses (exit 5) rather than list 2^70 trivial degrees."""
     argv = [contract_files.get(a, a) for a in argv] + ["--json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -338,6 +338,20 @@ def test_top_dim_is_none_when_any_component_is_cut_off():
     assert homology(points, max_dim=0).top_dim == 0
 
 
+def test_homology_refuses_max_dim_past_simplex_budget():
+    """Each degree up to max_dim is listed, so a max_dim past the simplex
+    budget is refused before any face is enumerated, on one component or
+    several."""
+    budget = complexes.DEFAULT_SIMPLEX_BUDGET
+    for K in (cycle_graph(5), disjoint_double(cycle_graph(5))[0]):
+        with pytest.raises(CapExceeded) as info:
+            homology(K, max_dim=2**70)
+        assert (info.value.needed, info.value.cap) == (2**70, budget)
+        with pytest.raises(CapExceeded):
+            homology(K, max_dim=budget + 1)
+        assert sorted(homology(K, max_dim=3).degrees) == [0, 1, 2, 3]
+
+
 def test_homology_additive_over_components():
     K = cycle_graph(5)
     D, _ = disjoint_double(K)

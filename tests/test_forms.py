@@ -439,12 +439,18 @@ def test_kernel_form_restricts():
 
 
 def test_extend_to_automorphism_cases():
-    form = w_power(3, 2)
-    block = [form.group.element((a, b, 0, 0)) for a in range(3) for b in range(3)]
-    for v in form.group.enumerate_elements():
-        phi = extend_to_automorphism(form, v)
-        assert phi.is_automorphism()
-        assert any(phi(z) == v for z in block)
+    """Every vector of W_3^2 and W_6^2 and seeded samples of W_10^2 and
+    W_12^2.  At composite k, v / gcd(k, v) need not be primitive: on W_6^2,
+    v = (0, 0, 0, 4) gives (0, 0, 0, 2), of order 3."""
+    rng = random.Random(6)
+    for k, sample in ((3, None), (6, None), (10, 60), (12, 60)):
+        form = w_power(k, 2)
+        block = [form.group.element((a, b, 0, 0)) for a in range(k) for b in range(k)]
+        vectors = list(form.group.enumerate_elements())
+        for v in vectors if sample is None else rng.sample(vectors, sample):
+            phi = extend_to_automorphism(form, v)
+            assert phi.is_automorphism()
+            assert any(phi(z) == v for z in block)
     with pytest.raises(InputError):
         extend_to_automorphism(
             direct_sum(standard_w(3), standard_w(9)),
@@ -695,6 +701,24 @@ def test_partner_counting_refuses_counts_it_cannot_meet():
     bumped[0] = 0
     with pytest.raises(InvariantError, match="exceeds"):
         w_morphism_by_index(form, 3, 27)
+
+
+def test_partner_solves_one_congruence():
+    """``_partner(form, k, x, 0)`` is the first y in M[k], in lexicographic
+    order, with b(x, y) = 1/k, or None when there is none, against a scan
+    of M[k].  On W_9, x = (0, 3) pairs as b(x, y) = -3 y_0 / 9, and
+    -3 y_0 = 1 mod 9 has no solution; x = (0, 1) pairs as -y_0 / 9."""
+    w9 = standard_w(9)
+    assert forms._partner(w9, 9, w9.group.element((0, 3)), 0) is None
+    assert forms._partner(w9, 9, w9.group.element((0, 1)), 0).coeffs == (8, 0)
+    scrambled, _ = scramble_form(block_sum((2, 4)), random.Random(3))
+    for form in (w9, standard_w(6), scrambled):
+        D = form.denominator
+        for k in (k for k in range(2, D + 1) if D % k == 0):
+            tors = torsion_elements(form.group, k)
+            for x in tors:
+                want = next((y for y in tors if form.evaluate(x, y) == QZValue(1, k)), None)
+                assert forms._partner(form, k, x, 0) == want
 
 
 # W_m^2 has morphisms from W_k when k | m and gcd(m / k, k) = 1.

@@ -82,3 +82,24 @@ def test_every_class_member_is_used():
                 if not any(pattern.search(t) for t in others):
                     unused.append(f"{cls.name}.{node.name}")
     assert sorted(unused) == sorted(TEST_ONLY_MEMBERS)
+
+
+def test_every_import_is_used():
+    """Each name a package module other than ``__init__`` imports is read
+    as a name somewhere in that module, so an import does not outlive its
+    last use."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
