@@ -25,8 +25,8 @@ import numpy as np
 # The machine descriptor of the benchmark (perfbench/run.py) reads this flag.
 USING_NUMBA = False
 
-# Largest modulus/order/rank for which x * N * y sums stay well inside
-# int64: r * dmax * dmax * D <= 2**62 with the margins below.
+# Largest modulus/order/rank of the int64 path.  The kernels reduce mod D
+# between products, so each needs rank * dmax * D < 2**63: 2**46 at these limits.
 _MOD_LIMIT = 1 << 20
 _RANK_LIMIT = 64
 # Cells (rows x columns) of one block of a pairing table or adjacency;

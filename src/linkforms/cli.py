@@ -138,8 +138,11 @@ def cmd_complex(args) -> tuple[dict, int]:
              for i in range(L.vertex_count)],
             L.flag.adj,
         )
-        with open(args.export_dot, "w", encoding="utf-8") as fh:
-            fh.write(labeled.to_dot())
+        try:
+            with open(args.export_dot, "w", encoding="utf-8") as fh:
+                fh.write(labeled.to_dot())
+        except OSError as exc:
+            raise InputError(f"cannot write {args.export_dot}: {exc.strerror}") from None
         data["dot_file"] = args.export_dot
     if args.homology_max_dim is not None:
         if not L.materialized:

@@ -4,7 +4,8 @@ connectivity/lifting harnesses used to exercise the simplicial lemmas.
 Two complex flavors share one protocol: flag complexes (simplices = cliques
 of a graph, the case arising from orthogonality of block morphisms) and
 general complexes given by maximal faces (used for fixtures like spheres
-and the 6-vertex projective plane, which are not flag).
+and the 6-vertex projective plane, which are not flag).  Both list their
+faces level by level, ``face_levels()``, under one simplex budget.
 
 "n-connected" here always means the homological proxy: nonempty with
 H~_i = 0 for i <= n (degree 0 checked exactly via graph connectivity, so
@@ -25,10 +26,20 @@ from .errors import BudgetExhausted, CapExceeded, InputError
 from .groups import AbGroupDescriptor
 from .snf import smith_normal_form
 
-# Limits read at call time (tests monkeypatch them): simplices per
-# enumeration, and candidate sets per link-lifting check.
+# Limits read at call time (tests monkeypatch them): simplices per face
+# walk, summed over its dimensions, and candidate sets per link-lifting check.
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
 LIFT_CHECK_BUDGET = 200_000
+
+
+def _within_budget(count: int, dim: int | None = None) -> int:
+    """``count``, the simplices of a face walk through dimension ``dim`` (or
+    a max_dim, one listed degree each), if DEFAULT_SIMPLEX_BUDGET allows it."""
+    budget = DEFAULT_SIMPLEX_BUDGET
+    if count > budget:
+        what = "max_dim" if dim is None else f"simplices through dimension {dim}"
+        raise CapExceeded(f"{what} {count} exceeds the simplex budget {budget}", count, budget)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +89,12 @@ class _Complex:
     def _neighbours(self):
         """Function from a vertex index to the indices of its neighbours."""
         raise NotImplementedError
+
+    def edges(self) -> list[tuple]:
+        """The 1-simplices as label pairs, lexicographic."""
+        neighbours, labels = self._neighbours(), self.labels
+        return [(labels[i], labels[j]) for i in range(len(labels))
+                for j in sorted(neighbours(i)) if j > i]
 
     def components(self) -> list[set]:
         """Vertex sets of the connected components, in order of their first
@@ -156,31 +173,35 @@ class FlagComplex(_Complex):
         adj = self.adj
         return lambda i: np.flatnonzero(adj[i]).tolist()
 
-    def faces_of_dim(self, d: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[tuple]:
-        """All d-simplices (cliques on d+1 vertices), lexicographic."""
-        if d < 0:
-            return [()]
-        out: list[tuple] = []
-        n = self.n_vertices
-        adj = self.adj
+    def face_levels(self):
+        """The cliques of each size, lexicographic, one list per dimension.
 
-        def grow(clique: list[int], candidates: np.ndarray) -> None:
-            if len(clique) == d + 1:
-                out.append(tuple(self.labels[i] for i in clique))
-                if len(out) > budget:
-                    raise CapExceeded(
-                        f"more than {budget} simplices of dimension {d}",
-                        needed=len(out),
-                        cap=budget,
-                    )
-                return
-            for i in np.nonzero(candidates)[0]:
-                nxt = candidates & adj[i]
-                nxt[: i + 1] = False
-                grow(clique + [int(i)], nxt)
-
-        grow([], np.ones(n, dtype=bool))
-        return out
+        Each clique carries the bitset of its common neighbours after its
+        last vertex, and each of them extends it by one vertex: the
+        incremental expansion of Zomorodian, in the lowest-vertex order of
+        Chiba and Nishizeki.  A level is built when it is asked for, and the
+        budget is checked as it grows.
+        """
+        labels = self.labels
+        bits = np.packbits(self.adj, axis=1, bitorder="little")
+        # later[i]: the neighbours of vertex i that come after it
+        later = [int.from_bytes(row.tobytes(), "little") >> i + 1 << i + 1
+                 for i, row in enumerate(bits)]
+        level = [((lab,), later[i]) for i, lab in enumerate(labels)]
+        used = _within_budget(len(level), 0)
+        d = 0
+        while level:
+            yield [face for face, _ in level]
+            d += 1
+            grown = []
+            for face, cand in level:
+                while cand:
+                    j = (cand & -cand).bit_length() - 1  # the lowest candidate
+                    grown.append((face + (labels[j],), cand & later[j]))
+                    cand &= cand - 1
+                _within_budget(used + len(grown), d)
+            used += len(grown)
+            level = grown
 
     def link_of(self, sigma) -> "FlagComplex":
         """Induced flag complex on the common neighbors of sigma.
@@ -209,10 +230,9 @@ class FlagComplex(_Complex):
         lines = ["graph complex {"]
         for i, lab in enumerate(self.labels):
             lines.append(f'  v{i} [label="{lab}"];')
-        for i in range(self.n_vertices):
-            for j in range(i + 1, self.n_vertices):
-                if self.adj[i, j]:
-                    lines.append(f"  v{i} -- v{j};")
+        index = self._index
+        for u, v in self.edges():
+            lines.append(f"  v{index[u]} -- v{index[v]};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -265,19 +285,16 @@ class GeneralComplex(_Complex):
                 nbrs[b].append(a)
         return nbrs.__getitem__
 
-    def faces_of_dim(self, d: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[tuple]:
-        if d < 0:
-            return [()]
-        found = [f for f in self.faces if len(f) == d + 1]
-        if len(found) > budget:
-            raise CapExceeded(
-                f"more than {budget} simplices of dimension {d}",
-                needed=len(found),
-                cap=budget,
-            )
-        out = [tuple(sorted(f, key=self._index.__getitem__)) for f in found]
-        out.sort(key=lambda t: tuple(self._index[v] for v in t))
-        return out
+    def face_levels(self):
+        """The stored faces, lexicographic, one list per dimension."""
+        position = self._index.__getitem__
+        faces = sorted((tuple(sorted(f, key=position)) for f in self.faces),
+                       key=lambda t: (len(t), tuple(map(position, t))))
+        used = 0
+        for d, (_, level) in enumerate(itertools.groupby(faces, len)):
+            level = list(level)
+            used = _within_budget(used + len(level), d)
+            yield level
 
     def link_of(self, sigma) -> "GeneralComplex":
         sigma = frozenset(sigma)
@@ -333,25 +350,17 @@ def _boundary_matrix(faces_lo: list[tuple], faces_hi: list[tuple]) -> list[list[
 
 
 def _homology_single(K, max_dim) -> HomologyResult:
+    """Homology from K's face levels 0..max_dim + 1 (all when None); past
+    the simplex budget, from the levels listed so far, ``complete=False``."""
+    dims = itertools.count() if max_dim is None else range(max_dim + 2)
     faces: dict[int, list[tuple]] = {}
-    budget = DEFAULT_SIMPLEX_BUDGET
-    used = 0
-    top = None
-    d = 0
-    stop = max_dim + 1 if max_dim is not None else None
-    while True:
-        if stop is not None and d > stop:
-            break
-        try:
-            fs = K.faces_of_dim(d, budget=budget - used)
-        except CapExceeded:
-            return _assemble(faces, complete=False, top=top, max_dim=max_dim)
-        if not fs:
-            top = d - 1
-            break
-        faces[d] = fs
-        used += len(fs)
-        d += 1
+    try:
+        for d, level in zip(dims, K.face_levels()):
+            faces[d] = level
+    except CapExceeded:
+        return _assemble(faces, complete=False, top=None, max_dim=max_dim)
+    # the walk reached an empty level unless it listed every requested one
+    top = len(faces) - 1 if max_dim is None or len(faces) < max_dim + 2 else None
     return _assemble(faces, complete=True, top=top, max_dim=max_dim)
 
 
@@ -397,12 +406,8 @@ def homology(K, max_dim: int | None = None) -> HomologyResult:
     empty dimension.  A max_dim above DEFAULT_SIMPLEX_BUDGET raises
     CapExceeded: each degree up to max_dim is listed, trivial or not.
     """
-    if max_dim is not None and max_dim > DEFAULT_SIMPLEX_BUDGET:
-        raise CapExceeded(
-            f"homology max_dim {max_dim} exceeds cap {DEFAULT_SIMPLEX_BUDGET}",
-            needed=max_dim,
-            cap=DEFAULT_SIMPLEX_BUDGET,
-        )
+    if max_dim is not None:
+        _within_budget(max_dim)
     comps = K.components()
     if len(comps) <= 1:
         return _homology_single(K, max_dim)
@@ -470,17 +475,14 @@ def lcm_check(K, n: int) -> Verdict:
 
     Links of p-simplices with p > n - 1 face a level <= -2 requirement and
     are vacuously fine, so p ranges over 0..n-1.  The verdict is
-    INCONCLUSIVE when an enumeration needs more than DEFAULT_SIMPLEX_BUDGET
-    simplices.
+    INCONCLUSIVE when the faces through dimension p (listed whole before
+    their links are checked) or those of a link's homology pass the budget.
     """
-    budget = DEFAULT_SIMPLEX_BUDGET
     checked = 0
     try:
-        for p in range(0, n):
-            for sigma in K.faces_of_dim(p, budget=budget):
+        for p, level in zip(range(n), K.face_levels()):
+            for sigma in level:
                 checked += 1
-                if checked > budget:
-                    raise BudgetExhausted("simplex budget exhausted")
                 link = K.link_of(sigma)
                 if not homological_connectivity(link, n - p - 2):
                     return Verdict(
@@ -506,14 +508,15 @@ class SimplicialMap:
                 raise InputError(f"vertex {v!r} has no image")
             if self.mapping[v] not in target._index:
                 raise InputError(f"image {self.mapping[v]!r} is not a target vertex")
-        if isinstance(source, FlagComplex):
-            for u, v in source.faces_of_dim(1):
+        if isinstance(target, FlagComplex):
+            # a vertex set is a face of a flag complex when its pairs are
+            for u, v in source.edges():
                 fu, fv = self.mapping[u], self.mapping[v]
                 if fu != fv and not target.adjacent(fu, fv):
                     raise InputError(f"edge ({u!r}, {v!r}) does not map to a simplex")
         else:
-            for f in source.faces:
-                if not target.has_face({self.mapping[v] for v in f}):
+            for f in itertools.chain.from_iterable(source.face_levels()):
+                if not target.has_face(self.apply(f)):
                     raise InputError(f"face {set(f)!r} does not map to a simplex")
 
     def __call__(self, v):
@@ -547,7 +550,7 @@ class SymRelation:
         return frozenset((a, b)) in self.pairs
 
     def is_edge_compatible(self) -> bool:
-        return all(self.holds(u, v) for u, v in self.complex.faces_of_dim(1))
+        return all(self.holds(u, v) for u, v in self.complex.edges())
 
 
 def _general_position_subsets(candidates, rel: SymRelation | None, cap: int):
@@ -615,12 +618,8 @@ def check_link_lifting(f: SimplicialMap, rel: SymRelation | None = None) -> Verd
             subsets = _general_position_subsets(candidates, rel, budget - checked)
         except BudgetExhausted as exc:
             return Verdict(INCONCLUSIVE, detail=str(exc), stats={"checked": checked})
-        for A in subsets:
+        for A in subsets:  # at most budget - checked of them
             checked += 1
-            if checked > budget:
-                return Verdict(
-                    INCONCLUSIVE, detail="budget exhausted", stats={"checked": checked}
-                )
             ok = any(
                 x in rel_universal
                 and x not in A
@@ -644,21 +643,16 @@ def preserves_links(f: SimplicialMap) -> bool:
     since the link excludes the simplex's own vertices.
     """
     X, Y = f.source, f.target
-    d = 0
-    while True:
-        faces = X.faces_of_dim(d, budget=DEFAULT_SIMPLEX_BUDGET)
-        if not faces:
-            return True
-        for zeta in faces:
-            image = f.apply(zeta)
-            link = X.link_of(zeta)
-            for v in link.vertices:
-                fv = f(v)
-                if fv in image:
-                    return False
-                if not Y.has_face(image | {fv}):
-                    return False
-        d += 1
+    for zeta in itertools.chain.from_iterable(X.face_levels()):
+        image = f.apply(zeta)
+        link = X.link_of(zeta)
+        for v in link.vertices:
+            fv = f(v)
+            if fv in image:
+                return False
+            if not Y.has_face(image | {fv}):
+                return False
+    return True
 
 
 @dataclass
@@ -688,9 +682,9 @@ def action_transitivity(K, generators) -> TransitivityReport:
         g = dict(g)
         if set(g) != set(K.vertices) or set(g.values()) != set(K.vertices):
             raise InputError("generator is not a vertex permutation")
-        for u, v in itertools.combinations(K.vertices, 2):
-            if K.adjacent(u, v) != K.adjacent(g[u], g[v]):
-                raise InputError("generator does not preserve adjacency")
+        # a vertex bijection that keeps every edge keeps every non-edge too
+        if not all(K.adjacent(g[u], g[v]) for u, v in K.edges()):
+            raise InputError("generator does not preserve adjacency")
         perms.append(g)
         perms.append({v: u for u, v in g.items()})
     # Orbits under the generated group: closure under all generators and
@@ -702,9 +696,7 @@ def action_transitivity(K, generators) -> TransitivityReport:
             orb = set(breadth_first(v, lambda u: [g[u] for g in perms]))
             orbit_of.update(dict.fromkeys(orb, len(orbits)))
             orbits.append(orb)
-    edge_hyp = all(
-        orbit_of[u] == orbit_of[v] for u, v in K.faces_of_dim(1)
-    )
+    edge_hyp = all(orbit_of[u] == orbit_of[v] for u, v in K.edges())
     comp_hyp = True  # vacuous: path components of a finite discrete set
     connected = K.is_connected()
     hyps = edge_hyp and comp_hyp and connected
@@ -732,12 +724,13 @@ def relative_homology(X, y_labels, max_dim: int) -> dict[int, AbGroupDescriptor]
     Computed from the relative chain complex: the degree-d basis is the
     d-simplices of X not contained in Y, and boundaries drop faces lying
     in Y.  This is the definition of relative homology, no excision
-    needed.
+    needed.  A max_dim past the simplex budget raises CapExceeded.
     """
+    _within_budget(max_dim)
     yset = set(y_labels)
     rel_faces = {
-        d: [f for f in X.faces_of_dim(d, budget=DEFAULT_SIMPLEX_BUDGET) if not set(f) <= yset]
-        for d in range(0, max_dim + 2)
+        d: [f for f in level if not set(f) <= yset]
+        for d, level in zip(range(max_dim + 2), X.face_levels())
     }
     return _assemble(rel_faces, complete=True, top=None, max_dim=max_dim).degrees
 
@@ -760,8 +753,8 @@ def inclusion_connectivity_harness(X, y_labels, n: int) -> InclusionReport:
     n-connectivity of the inclusion implies on homology.
     """
     yset = set(y_labels)
-    for p in range(0, n + 1):
-        for sigma in X.faces_of_dim(p, budget=DEFAULT_SIMPLEX_BUDGET):
+    for p, level in zip(range(n + 1), X.face_levels()):
+        for sigma in level:
             link = X.link_of(sigma)
             sub = link.induced([v for v in link.vertices if v in yset])
             if not homological_connectivity(sub, n - p - 1):

@@ -206,7 +206,7 @@ def random_map_instance(rng: random.Random):
         if f is None:
             f = SimplicialMap(X, X, {v: v for v in X.vertices})
     source = f.source
-    pairs = [(u, v) for u, v in source.faces_of_dim(1)]
+    pairs = source.edges()
     extra = [
         (a, b)
         for a in source.vertices

@@ -50,6 +50,16 @@ KK_MANIFOLD_SCHEMA = {
 }
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+
+
 def _load_json(text: str, source: str) -> dict:
     try:
         doc = json.loads(text)
@@ -57,6 +67,8 @@ def _load_json(text: str, source: str) -> dict:
         raise InputError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputError(f"{source}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"{source}: expected a JSON object")
     return doc
@@ -123,12 +135,7 @@ def parse_form(text: str, source: str = "<input>") -> LinkingForm:
 
 
 def load_form(path: str) -> LinkingForm:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_form(text, source=path)
+    return parse_form(_read(path), source=path)
 
 
 def manifold_from_document(doc: dict, source: str = "<input>") -> KKManifold1:
@@ -168,9 +175,4 @@ def parse_manifold(text: str, source: str = "<input>") -> KKManifold1:
 
 
 def load_manifold(path: str) -> KKManifold1:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_manifold(text, source=path)
+    return parse_manifold(_read(path), source=path)

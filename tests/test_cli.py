@@ -199,6 +199,16 @@ def test_complex_dot_export(files, capsys):
     assert report["data"]["dot_file"] == dot
 
 
+def test_complex_dot_export_to_unwritable_path_exits_2(files, capsys):
+    """A DOT path in a missing directory, or one that is a directory, is
+    refused as input (exit 2) with the path named, not a traceback."""
+    for path in (files["dir"] / "missing" / "out.dot", files["dir"]):
+        code, report = run_json(capsys, "complex", files["w3"], "3", "--export-dot", str(path))
+        assert code == 2
+        assert report["data"]["kind"] == "InputError"
+        assert report["data"]["error"].startswith(f"cannot write {path}: ")
+
+
 def test_complex_homology_of_discrete_level(files, capsys):
     code, report = run_json(
         capsys, "complex", files["w3"], "3", "--homology-max-dim", "0"
@@ -557,6 +567,12 @@ CONTRACT_DOCS = {
     "manifold": {"k": 3, "plus": 2, "minus": 1, "circles": 1},
     "bad-manifold": {"k": 1, "plus": 0, "minus": 0},
 }
+# Documents written as raw bytes: one that is not UTF-8, and one nested
+# past the JSON decoder's recursion limit.
+RAW_CONTRACT_DOCS = {
+    "not-utf8": b'{"orders": [3, 3], "name": "\xff"}',
+    "deep-nesting": b"[" * 100_000,
+}
 
 SMALL = ("-2", "-1", "0", "1", "2", "3")
 INTS = st.sampled_from(SMALL + (str(2**70),))
@@ -582,7 +598,8 @@ def contract_argv(draw):
     name; the documents are the fixtures and mutations of them, the three
     valid forms drawn about as often as all the rest."""
     valid = st.sampled_from(["w3", "w3sq", "singular"])
-    doc = draw(st.one_of(valid, st.sampled_from(sorted(CONTRACT_DOCS) + ["absent"])))
+    pool = sorted(CONTRACT_DOCS) + sorted(RAW_CONTRACT_DOCS) + ["absent"]
+    doc = draw(st.one_of(valid, st.sampled_from(pool)))
     command = draw(st.sampled_from(["classify", "rank", "complex", "bordism", "verify"]))
     if command == "classify":
         return ["classify", doc]
@@ -617,6 +634,10 @@ def contract_files(tmp_path_factory):
         path = root / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
+    for name, raw in RAW_CONTRACT_DOCS.items():
+        path = root / f"{name}.json"
+        path.write_bytes(raw)
+        paths[name] = str(path)
     return paths
 
 
@@ -625,6 +646,10 @@ def contract_files(tmp_path_factory):
 @example(["rank", "w3", str(2**61 - 1), "--budget", "3"])
 @example(["rank", "w3", str(2**40), "--stable", "--gmax", "1", "--budget", "3"])
 @example(["complex", "w3", "3", "--homology-max-dim", str(2**70)])
+@example(["classify", "not-utf8"])
+@example(["bordism", "--manifold", "not-utf8"])
+@example(["classify", "deep-nesting"])
+@example(["bordism", "--manifold", "deep-nesting"])
 def test_argument_contract(contract_files, argv):
     """Every drawn argument vector gets a report and one of README's exit
     codes 0-7 from ``main``, which never raises; an error report's kind
@@ -632,7 +657,8 @@ def test_argument_contract(contract_files, argv):
     ``REPORT_SCHEMA``.  The explicit examples are the large levels: W_3
     padded with W_{2^40} at k = 2^40, and W_3 at the prime k = 2^61 - 1;
     and --homology-max-dim 2^70, past the simplex budget, which homology
-    refuses (exit 5) rather than list 2^70 trivial degrees."""
+    refuses (exit 5) rather than list 2^70 trivial degrees; and a document
+    that is not UTF-8 or is nested too deeply, which is input (exit 2)."""
     argv = [contract_files.get(a, a) for a in argv] + ["--json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

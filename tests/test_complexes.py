@@ -57,6 +57,42 @@ def octahedron():
     return FlagComplex(range(6), adj)
 
 
+def faces_of_dim(K, d):
+    """The d-simplices of K, lexicographic: level d of its face walk."""
+    return next(itertools.islice(K.face_levels(), d, None), [])
+
+
+def recursive_faces_of_dim(K, d):
+    """Oracle: the d-simplices as the per-dimension listing found them, a
+    recursive clique search over boolean rows for a flag complex, a filter
+    of the stored faces by size otherwise."""
+    if isinstance(K, GeneralComplex):
+        position = K._index.__getitem__
+        found = [tuple(sorted(f, key=position)) for f in K.faces if len(f) == d + 1]
+        return sorted(found, key=lambda t: tuple(map(position, t)))
+    out = []
+
+    def grow(clique, candidates):
+        if len(clique) == d + 1:
+            out.append(tuple(K.labels[i] for i in clique))
+            return
+        for i in np.nonzero(candidates)[0]:
+            nxt = candidates & K.adj[i]
+            nxt[: i + 1] = False
+            grow(clique + [int(i)], nxt)
+
+    grow([], np.ones(K.n_vertices, dtype=bool))
+    return out
+
+
+def recursive_levels(K):
+    """Oracle: the nonempty dimensions' faces, one recursive listing each."""
+    levels = []
+    while level := recursive_faces_of_dim(K, len(levels)):
+        levels.append(level)
+    return levels
+
+
 def mod_p_betti(faces_by_dim, p):
     """Independent Betti numbers over F_p via Gaussian elimination."""
 
@@ -131,11 +167,11 @@ def test_flag_complex_symmetry_check_in_tiles(monkeypatch):
 
 def test_flag_faces_are_cliques():
     K = complete_graph(4)
-    assert len(K.faces_of_dim(0)) == 4
-    assert len(K.faces_of_dim(1)) == 6
-    assert len(K.faces_of_dim(2)) == 4
-    assert len(K.faces_of_dim(3)) == 1
-    assert K.faces_of_dim(4) == []
+    assert len(faces_of_dim(K, 0)) == 4
+    assert len(faces_of_dim(K, 1)) == 6
+    assert len(faces_of_dim(K, 2)) == 4
+    assert len(faces_of_dim(K, 3)) == 1
+    assert faces_of_dim(K, 4) == []
     assert K.has_face((0, 1, 2))
     assert not cycle_graph(4).has_face((0, 1, 2))
 
@@ -145,13 +181,70 @@ def test_general_complex_downward_closure():
     assert K.has_face((1, 2))
     assert K.has_face((4,))
     assert not K.has_face((1, 4))
-    assert sorted(K.faces_of_dim(1)) == [(1, 2), (1, 3), (2, 3), (3, 4)]
+    assert sorted(faces_of_dim(K, 1)) == [(1, 2), (1, 3), (2, 3), (3, 4)]
 
 
-def test_faces_budget():
+def test_faces_budget(monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", 100)
     K = complete_graph(16)
     with pytest.raises(CapExceeded):
-        K.faces_of_dim(7, budget=100)
+        faces_of_dim(K, 7)
+
+
+def general_fixtures():
+    return [
+        GeneralComplex(RP2_FACES),
+        GeneralComplex(moore_space_z3()),
+        GeneralComplex(RP2_FACES + moore_space_z3() + [(1, 10)]),
+        GeneralComplex([(1, 2, 3), (3, 4)]),
+        GeneralComplex(itertools.combinations(range(5), 4)),
+        GeneralComplex([(0, 1, 2, 3), (4,)]),
+        GeneralComplex([("b", "a"), ("c",)]),
+        GeneralComplex([]),
+    ]
+
+
+def random_complex(seed):
+    """A random flag complex (any edge density, up to 11 vertices) or one
+    of the GeneralComplex fixtures, chosen by the seed."""
+    rng = random.Random(seed)
+    if rng.random() < 0.2:
+        return rng.choice(general_fixtures())
+    return random_flag_complex(rng, n_min=0, n_max=11, p=rng.random())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_face_walk_matches_recursive_listing(seed):
+    """face_levels() lists the same faces in the same order as one
+    recursive listing per dimension, and edges() is its level 1."""
+    K = random_complex(seed)
+    levels = recursive_levels(K)
+    assert list(K.face_levels()) == levels
+    assert K.edges() == recursive_faces_of_dim(K, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_face_walk_budget_edge(seed):
+    """The budget counts the simplices of all dimensions of one walk: a
+    budget equal to the total lists every level, and one less raises
+    CapExceeded only after every complete lower level was yielded."""
+    K = random_complex(seed)
+    levels = recursive_levels(K)
+    total = sum(map(len, levels))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", total)
+        assert list(K.face_levels()) == levels
+        if not total:
+            return
+        mp.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", total - 1)
+        walked = []
+        with pytest.raises(CapExceeded) as info:
+            for level in K.face_levels():
+                walked.append(level)
+        assert walked == levels[:-1]
+        assert info.value.cap == total - 1
 
 
 def test_link_of_vertex_in_octahedron():
@@ -182,8 +275,8 @@ def test_induced_commutes_with_link():
         )
         induce_then_link = sub.link_of((v,))
         assert set(link_then_induce.vertices) == set(induce_then_link.vertices)
-        assert sorted(link_then_induce.faces_of_dim(1)) == sorted(
-            induce_then_link.faces_of_dim(1)
+        assert sorted(faces_of_dim(link_then_induce, 1)) == sorted(
+            faces_of_dim(induce_then_link, 1)
         )
 
 
@@ -224,16 +317,16 @@ def test_complete_graphs_are_contractible():
 def test_projective_plane_fixture():
     """Six-vertex triangulation: H_0 = Z, H_1 = Z/2, H_2 = 0."""
     K = GeneralComplex(RP2_FACES)
-    assert len(K.faces_of_dim(0)) == 6
-    assert len(K.faces_of_dim(1)) == 15
-    assert len(K.faces_of_dim(2)) == 10
+    assert len(faces_of_dim(K, 0)) == 6
+    assert len(faces_of_dim(K, 1)) == 15
+    assert len(faces_of_dim(K, 2)) == 10
     H = homology(K)
     assert (H.degrees[0].betti, H.degrees[0].torsion) == (1, ())
     assert (H.degrees[1].betti, H.degrees[1].torsion) == (0, (2,))
     assert H.degrees[2].is_trivial()
     assert H.euler_from_faces() == 1
     # cross-check with mod-p Betti numbers: torsion Z/2 shows up over F_2
-    faces = {d: sorted(K.faces_of_dim(d)) for d in range(3)}
+    faces = {d: sorted(faces_of_dim(K, d)) for d in range(3)}
     assert mod_p_betti(faces, 2) == {0: 1, 1: 1, 2: 1}
     assert mod_p_betti(faces, 3) == {0: 1, 1: 0, 2: 0}
     assert mod_p_betti(faces, 5) == {0: 1, 1: 0, 2: 0}
@@ -352,6 +445,50 @@ def test_homology_refuses_max_dim_past_simplex_budget():
         assert sorted(homology(K, max_dim=3).degrees) == [0, 1, 2, 3]
 
 
+def per_dimension_homology(K, max_dim, budget):
+    """Oracle: homology of a connected K as the per-dimension loop computed
+    it, dimension d listed with the budget the lower dimensions left."""
+    faces, used, top, d = {}, 0, None, 0
+    while max_dim is None or d <= max_dim + 1:
+        level = recursive_faces_of_dim(K, d)
+        if not level:
+            top = d - 1
+            break
+        if len(level) > budget - used:
+            return complexes._assemble(faces, complete=False, top=None, max_dim=max_dim)
+        faces[d] = level
+        used += len(level)
+        d += 1
+    return complexes._assemble(faces, complete=True, top=top, max_dim=max_dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+@example(-1)  # RP^2
+def test_homology_at_the_budget_edge_matches_per_dimension_loop(seed):
+    """complete, top_dim, degrees and face counts of each component agree
+    with the per-dimension loop at every budget from 12 below the face
+    total to one above it, for max_dim None, 0, 1 and 2."""
+    if seed < 0:
+        comps = [GeneralComplex(RP2_FACES)]
+    else:
+        K = random_flag_complex(random.Random(seed), n_min=1, n_max=8, p=0.6)
+        comps = [K.induced(sorted(c)) for c in K.components()]
+    fields = ("complete", "top_dim", "degrees", "face_counts")
+    with pytest.MonkeyPatch.context() as mp:
+        for C in comps:
+            total = sum(map(len, recursive_levels(C)))
+            for max_dim, budget in itertools.product((None, 0, 1, 2),
+                                                     range(max(total - 12, 0), total + 2)):
+                mp.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", budget)
+                if max_dim is not None and max_dim > budget:
+                    with pytest.raises(CapExceeded):
+                        homology(C, max_dim)
+                    continue
+                got, want = homology(C, max_dim), per_dimension_homology(C, max_dim, budget)
+                assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
 def test_homology_additive_over_components():
     K = cycle_graph(5)
     D, _ = disjoint_double(K)
@@ -380,7 +517,7 @@ def test_torus_flag_complex():
                 adj[a, b] = adj[b, a] = True
     K = FlagComplex(range(n), adj)
     assert K.edge_count() == 48
-    assert len(K.faces_of_dim(2)) == 32
+    assert len(faces_of_dim(K, 2)) == 32
     H = homology(K)
     assert H.degrees[0].betti == 1
     assert H.degrees[1].betti == 2 and H.degrees[1].torsion == ()
@@ -432,6 +569,21 @@ def test_lcm_check_small_cases():
     assert lcm_check(two_edges, 1).status == PASS
 
 
+def test_lcm_check_budget_counts_every_dimension(monkeypatch):
+    """The link check lists a dimension whole before checking its links,
+    and the budget covers dimensions 0..p together: two disjoint edges
+    have 4 vertices and 2 edges, and the first edge's empty link fails the
+    check only when the budget admits all 6 faces."""
+    K = FlagComplex.from_edges([0, 1, 2, 3], [(0, 1), (2, 3)])
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", 6)
+    verdict = lcm_check(K, 2)
+    assert (verdict.status, verdict.witness) == (FAIL, (0, 1))
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", 5)
+    verdict = lcm_check(K, 2)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats == {"checked": 4}
+
+
 def test_limits_are_read_at_call_time(monkeypatch):
     """The simplex and lifting budgets are module constants that a check
     reads when it runs; past them the verdict is INCONCLUSIVE."""
@@ -458,6 +610,18 @@ def test_map_validation():
         SimplicialMap(P3, P3, {0: 0, 1: 1, 2: 5})
     with pytest.raises(InputError):
         SimplicialMap(P3, P3, {0: 0, 1: 2, 2: 0})  # edge (0,1) -> non-edge
+
+
+def test_map_into_general_complex_checks_every_face():
+    """Edges suffice only when the target is flag: the identity from the
+    solid triangle onto the hollow one maps every edge to an edge but the
+    2-simplex to a non-face."""
+    solid = complete_graph(3)
+    hollow = GeneralComplex([(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InputError, match="does not map to a simplex"):
+        SimplicialMap(solid, hollow, {v: v for v in solid.vertices})
+    SimplicialMap(hollow, solid, {v: v for v in hollow.vertices})
+    SimplicialMap(solid, GeneralComplex([(0, 1, 2)]), {v: v for v in solid.vertices})
 
 
 def test_identity_lifting_passes():
@@ -513,7 +677,7 @@ def test_relation_restricts_lifts():
     relation (which includes self-pairs) passes."""
     P3 = FlagComplex.from_edges([0, 1, 2], [(0, 1), (1, 2)])
     ident = SimplicialMap(P3, P3, {v: v for v in P3.vertices})
-    edges_only = SymRelation(P3, list(P3.faces_of_dim(1)))
+    edges_only = SymRelation(P3, faces_of_dim(P3, 1))
     assert check_link_lifting(ident, edges_only).status == FAIL
     assert check_link_lifting(ident, SymRelation.complete(P3)).status == PASS
 
@@ -585,7 +749,7 @@ def test_components_and_orbits_match_networkx():
     rng = random.Random(11)
     for _ in range(40):
         K = random_flag_complex(rng, n_min=1, n_max=14, p=0.2)
-        edges = K.faces_of_dim(1)
+        edges = faces_of_dim(K, 1)
         assert K.components() == _nx_components(K.vertices, edges)
         G = GeneralComplex(edges + [(v,) for v in K.vertices])
         assert G.components() == _nx_components(G.vertices, edges)
@@ -604,6 +768,17 @@ def test_relative_homology_of_path_rel_endpoints():
     rel = relative_homology(P3, [0, 2], max_dim=1)
     assert rel[0].is_trivial()
     assert rel[1].betti == 1  # H_1(interval, boundary) = Z
+
+
+def test_relative_homology_refuses_max_dim_past_simplex_budget():
+    """Each degree up to max_dim is listed, so relative homology refuses a
+    max_dim past the simplex budget, as homology does."""
+    X = cycle_graph(5)
+    with pytest.raises(CapExceeded) as info:
+        relative_homology(X, [0], max_dim=2**70)
+    assert (info.value.needed, info.value.cap) == (2**70, complexes.DEFAULT_SIMPLEX_BUDGET)
+    rel = relative_homology(X, [0], max_dim=3)
+    assert sorted(rel) == [0, 1, 2, 3] and rel[1].betti == 1
 
 
 def test_relative_homology_vanishes_for_equal_pair():

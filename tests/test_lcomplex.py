@@ -112,7 +112,7 @@ def test_w3_squared_components_are_complete_bipartite(L2):
         sub = L2.flag.induced(labels)
         G = nx.Graph()
         G.add_nodes_from(sub.vertices)
-        G.add_edges_from(sub.faces_of_dim(1))
+        G.add_edges_from(sub.edges())
         assert nx.is_bipartite(G)
         left, right = nx.bipartite.sets(G)
         assert len(left) == len(right) == 24
