@@ -16,38 +16,24 @@ from dataclasses import dataclass
 from .errors import InputError, InvariantError, UnsupportedDegree
 from .groups import AbGroupDescriptor, invariant_chain
 from .qz import QZValue
-from .snf import _eliminate
 
 
 # ---------------------------------------------------------------------------
-# Groups from presentations, and multiplication by k
+# Multiplication by k
 # ---------------------------------------------------------------------------
-
-def _from_presentation(n_gens: int, relation_columns: list[list[int]]) -> AbGroupDescriptor:
-    """Z^n_gens modulo the column span of the relations."""
-    if n_gens == 0:
-        return AbGroupDescriptor.trivial()
-    if not relation_columns:
-        return AbGroupDescriptor.free(n_gens)
-    matrix = [[col[i] for col in relation_columns] for i in range(n_gens)]
-    diag, _, _ = _eliminate(matrix)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbGroupDescriptor(free_rank=n_gens - sum(1 for d in diag if d), torsion=torsion)
 
 
 def multiplication_cokernel(G: AbGroupDescriptor, k: int) -> AbGroupDescriptor:
-    """coker(x k : G -> G), via a presentation with the extra relations k*e_i."""
-    n = G.free_rank + len(G.torsion)
-    cols = []
-    for i, t in enumerate(G.torsion):
-        col = [0] * n
-        col[G.free_rank + i] = t
-        cols.append(col)
-    for i in range(n):
-        col = [0] * n
-        col[i] = k
-        cols.append(col)
-    return _from_presentation(n, cols)
+    """coker(x k : G -> G).
+
+    Componentwise: Z / kZ on each free summand, and on Z/t the quotient by
+    the multiples of k, cyclic of order gcd(k, t).
+    """
+    if k == 0:
+        return G
+    return AbGroupDescriptor(
+        0, invariant_chain([abs(k)] * G.free_rank + [math.gcd(k, t) for t in G.torsion])
+    )
 
 
 def multiplication_kernel(G: AbGroupDescriptor, k: int) -> AbGroupDescriptor:

@@ -21,6 +21,7 @@ import random
 import sys
 
 from . import bordism as bordism_mod
+from . import complexes
 from . import verify as verify_mod
 from .complexes import FlagComplex, homology
 from .documents import load_form, load_manifold
@@ -152,6 +153,11 @@ def cmd_complex(args) -> tuple[dict, int]:
                 cap=args.materialize_cap,
             )
         H = homology(L.flag, max_dim=args.homology_max_dim)
+        if not H.complete:
+            raise CapExceeded(
+                f"homology through degree {args.homology_max_dim} exceeds the simplex budget",
+                cap=complexes.DEFAULT_SIMPLEX_BUDGET,
+            )
         data["homology"] = {
             f"H_{d}": str(h) for d, h in sorted(H.degrees.items())
         }

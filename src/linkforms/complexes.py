@@ -351,7 +351,8 @@ def _boundary_matrix(faces_lo: list[tuple], faces_hi: list[tuple]) -> list[list[
 
 def _homology_single(K, max_dim) -> HomologyResult:
     """Homology from K's face levels 0..max_dim + 1 (all when None); past
-    the simplex budget, from the levels listed so far, ``complete=False``."""
+    the simplex budget, ``complete=False`` with only the degrees d whose
+    (d+1)-faces were listed."""
     dims = itertools.count() if max_dim is None else range(max_dim + 2)
     faces: dict[int, list[tuple]] = {}
     try:
@@ -379,6 +380,8 @@ def _assemble(faces, complete, top, max_dim) -> HomologyResult:
             tors[d] = ()
     degrees = {}
     limit = max_dim if max_dim is not None else (top if top is not None else -1)
+    if not complete:  # degree d needs the (d+1)-faces, which a cut walk may lack
+        limit = min(limit, len(dims) - 2)
     for d in dims:
         if d > limit:
             continue
@@ -402,28 +405,33 @@ def homology(K, max_dim: int | None = None) -> HomologyResult:
     Splitting into connected components first keeps the matrices small;
     homology is additive over disjoint unions, so the components' groups
     are summed degree by degree, torsion as one invariant-factor chain.
-    ``top_dim`` is None unless every component's enumeration reached an
-    empty dimension.  A max_dim above DEFAULT_SIMPLEX_BUDGET raises
-    CapExceeded: each degree up to max_dim is listed, trivial or not.
+    Past the budget, ``complete`` is False and only the degrees that every
+    component finished are listed.  ``top_dim`` is None unless every
+    component's enumeration reached an empty dimension.  A max_dim above
+    DEFAULT_SIMPLEX_BUDGET raises CapExceeded: a complete result lists each
+    degree up to max_dim, trivial or not.
     """
     if max_dim is not None:
         _within_budget(max_dim)
     comps = K.components()
     if len(comps) <= 1:
         return _homology_single(K, max_dim)
-    degrees: dict[int, AbGroupDescriptor] = {}
+    results = [_homology_single(K.induced(sorted(comp, key=repr)), max_dim) for comp in comps]
     counts: dict[int, int] = {}
-    complete = True
-    tops = []
-    for comp in comps:
-        res = _homology_single(K.induced(sorted(comp, key=repr)), max_dim)
-        complete &= res.complete
-        tops.append(res.top_dim)
+    for res in results:
         for d, c in res.face_counts.items():
             counts[d] = counts.get(d, 0) + c
-        for d, h in res.degrees.items():
-            degrees[d] = degrees.get(d, AbGroupDescriptor.trivial()) + h
+    # a degree is summed only where every component finished it; a finished
+    # walk lists every degree that is not trivial
+    trivial = AbGroupDescriptor.trivial()
+    degrees = {
+        d: sum((res.degrees.get(d, trivial) for res in results), trivial)
+        for d in sorted(set().union(*(res.degrees for res in results)))
+        if all(res.complete or d in res.degrees for res in results)
+    }
+    tops = [res.top_dim for res in results]
     top = None if None in tops else max(tops)
+    complete = all(res.complete for res in results)
     return HomologyResult(degrees=degrees, face_counts=counts, complete=complete, top_dim=top)
 
 

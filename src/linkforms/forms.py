@@ -13,7 +13,10 @@ int64 inside the ``fits_int64`` gate, exact Python ints outside it.
 Complements and splittings run exact through the Smith-normal-form
 machinery in ``linkforms.groups``; the one congruence b(x, y) = 1/k that
 enumeration, classification and automorphism extension solve is counted
-out by ``_partner``.
+out by ``_partner``.  Classification splits a form into prime-power blocks;
+automorphism extension needs no classification, since it takes each
+further W_k block straight from the orthogonal complement of the blocks
+it has.
 """
 
 from __future__ import annotations
@@ -803,10 +806,12 @@ def kernel_form(form: LinkingForm, phi: GroupHom) -> Subform:
 def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     """Automorphism phi of W_k^(g+1) whose first block span contains v.
 
-    Writes v = m v' with v' primitive, completes v' to a block (w, v'),
-    splits, classifies the complement (necessarily W_k^g) and reassembles
-    prime-power blocks into standard W_k blocks by CRT.  The form must be
-    presented as the standard sum of blocks; v = 0 returns the identity.
+    Writes v = m v' with v' primitive and completes v' to a block (w, v').
+    Each further block is the first W_k morphism of the orthogonal
+    complement of the blocks so far: by cancellation (Wall 1963) that
+    complement is again a power of W_k, so no classification is needed.
+    The form must be presented as the standard sum of blocks; v = 0
+    returns the identity.
     """
     group = form.group
     r = group.rank
@@ -833,31 +838,13 @@ def extend_to_automorphism(form: LinkingForm, v: GroupElement) -> FormMorphism:
     w = _partner(form, k, vprime.scale(-1), 0)
     if w is None:
         raise SingularFormError("could not complete v' to a block; form is singular")
-    f = w_morphism(form, k, w, vprime)
-    comp = split_along(f)
-    blocks = [
-        (q, comp.embed_element(xs), comp.embed_element(ys))
-        for q, xs, ys in hyperbolic_basis(comp.form)
-    ]
-    per_prime: dict[int, list[tuple[int, GroupElement, GroupElement]]] = {}
-    for q, xs, ys in blocks:
-        p = prime_factorization(q)[0][0]
-        per_prime.setdefault(p, []).append((q, xs, ys))
-    g = r // 2 - 1
     images = [w, vprime]
-    primes = sorted(per_prime)
-    for plist in per_prime.values():
-        if len(plist) != g:
-            raise SingularFormError("complement did not classify as a block power")
-    for i in range(g):
-        xsum = group.zero()
-        ysum = group.zero()
-        for p in primes:
-            q, xs, ys = per_prime[p][i]
-            u = pow(k // q, -1, q)
-            xsum = xsum + xs
-            ysum = ysum + ys.scale(u)
-        images.extend([xsum, ysum])
+    for _ in range(r // 2 - 1):
+        comp = orthogonal_complement(form, Subgroup(group, images))
+        b = first_w_morphism(comp.form, k)
+        if b is None:
+            raise SingularFormError("complement has no W_k block; form is singular")
+        images += comp.embed_morphism(b).images
     phi = FormMorphism(form, form, images)
     if not phi.is_automorphism():
         raise SingularFormError("assembled morphism failed to be bijective")

@@ -65,9 +65,6 @@ class FinAbGroup:
     def exponent(self) -> int:
         return math.lcm(*self.orders) if self.orders else 1
 
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
     def element(self, coeffs) -> "GroupElement":
         return GroupElement(self, tuple(coeffs))
 

@@ -60,7 +60,6 @@ from .snf import prime_factorization
 
 DEFAULT_MATERIALIZE_CAP = 25_000
 DEFAULT_EDGE_CAP = 5_000_000
-DEFAULT_LINK_PAIR_CAP = 250_000
 LINK_EDGE_PAIR_CAP = 200_000
 F0_SCAN = 200
 F0_RANK_BUDGET = 50_000
@@ -227,12 +226,13 @@ def _orthogonal_rows(X, N, D, images) -> np.ndarray:
     return mask
 
 
-def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
+def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism], cap: int) -> set | None:
     """Keys of all vertices adjacent to every morphism in ``morphs``,
     computed in the ambient form independently of the complement
     construction: the pairs (x, y) with b(x, y) = 1/k of k-torsion rows
     orthogonal to every image (the edge relation, module docstring).  Each
-    such pair is a morphism W_k -> M, so its key is read off the rows."""
+    such pair is a morphism W_k -> M, so its key is read off the rows.
+    None when there are more than ``cap`` of them."""
     form, k = L.form, L.k
     D = form.denominator
     if D % k != 0:  # no element pairs to 1/k, so the complex is empty
@@ -240,9 +240,9 @@ def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism]) -> set:
     X, N = form._w_rows(k)
     images = [img.coeffs for m in morphs for img in (m.x, m.y)]
     Xsub = X[_orthogonal_rows(X, N, D, images)]
-    pairs, total = _kernels.pairs_hitting(Xsub, N, D, D // k, DEFAULT_LINK_PAIR_CAP)
-    if total > len(pairs):
-        raise CapExceeded("link candidate enumeration exceeded cap", needed=total)
+    pairs, total = _kernels.pairs_hitting(Xsub, N, D, D // k, cap)
+    if total > cap:
+        return None
     rows = [tuple(row) for row in Xsub.tolist()]
     return {(rows[i], rows[j]) for i, j in pairs.tolist()}
 
@@ -255,7 +255,9 @@ def verify_link_iso(L: LComplex, sigma) -> bool:
     an ambient morphism orthogonal to sigma), then the edge relations are
     compared through the same bijection: the orthogonality matrix of the
     embedded morphisms in the ambient form against that of the complement
-    morphisms in the complement form.
+    morphisms in the complement form.  The link's size is counted first, so
+    a link with more than LINK_EDGE_PAIR_CAP vertex pairs is refused
+    (CapExceeded) before any morphism is listed.
     """
     morphs = [L.vertex(s) for s in sigma]
     for a, b in itertools.combinations(morphs, 2):
@@ -267,17 +269,17 @@ def verify_link_iso(L: LComplex, sigma) -> bool:
         compl = orthogonal_complement(form, Subgroup(form.group, gens))
     else:
         compl = Subform(form, full_subgroup(form.group))
-    inner = morphisms_from_w(compl.form, k, cap=LINK_EDGE_PAIR_CAP)
-    embedded_keys = [compl.embed_morphism(m).key() for m in inner]
-    if set(embedded_keys) != _ambient_link_keys(L, morphs):
-        return False
-    n = len(inner)
+    n = count_w_morphisms(compl.form, k)
     if n * (n - 1) // 2 > LINK_EDGE_PAIR_CAP:
         raise CapExceeded(
             "too many link pairs for exact edge comparison",
             needed=n * (n - 1) // 2,
             cap=LINK_EDGE_PAIR_CAP,
         )
+    inner = morphisms_from_w(compl.form, k, cap=n)
+    embedded_keys = [compl.embed_morphism(m).key() for m in inner]
+    if set(embedded_keys) != _ambient_link_keys(L, morphs, n):
+        return False
     return n == 0 or np.array_equal(
         _orthogonality(form, k, embedded_keys),
         _orthogonality(compl.form, k, [m.key() for m in inner]),
@@ -446,7 +448,7 @@ def _bfs_path(L: LComplex, i0: int, i1: int) -> list[int] | None:
     return path[::-1]
 
 
-def transitivity_witness(L: LComplex, f0, f1, path=None) -> WitnessResult:
+def transitivity_witness(L: LComplex, f0, f1) -> WitnessResult:
     """Automorphism h of the form with h o f0 = f1, composed from
     per-edge block swaps along a path between the two vertices."""
     m0 = L.vertex(f0)
@@ -454,21 +456,18 @@ def transitivity_witness(L: LComplex, f0, f1, path=None) -> WitnessResult:
     if m0.key() == m1.key():
         h = identity_morphism(L.form)
         return WitnessResult("ok", h, [m0], {"length": 0})
-    if path is None:
-        if images_orthogonal(m0, m1):
-            path = [m0, m1]
-        elif L.materialized:
-            idx = _bfs_path(L, L.index_of(f0), L.index_of(f1))
-            if idx is None:
-                return WitnessResult("path-not-found", None, None, {})
-            path = [L.vertex(i) for i in idx]
-        else:
-            res = find_short_path(L, m0, m1)
-            if not res:
-                return WitnessResult("path-not-found", None, None, res.stats)
-            path = res.path
+    if images_orthogonal(m0, m1):
+        path = [m0, m1]
+    elif L.materialized:
+        idx = _bfs_path(L, L.index_of(f0), L.index_of(f1))
+        if idx is None:
+            return WitnessResult("path-not-found", None, None, {})
+        path = [L.vertex(i) for i in idx]
     else:
-        path = [L.vertex(p) for p in path]
+        res = find_short_path(L, m0, m1)
+        if not res:
+            return WitnessResult("path-not-found", None, None, res.stats)
+        path = res.path
     h = identity_morphism(L.form)
     for a, b in zip(path, path[1:]):
         h = edge_swap_automorphism(a, b).compose(h)

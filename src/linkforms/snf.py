@@ -22,8 +22,7 @@ each unimodular transform only when its caller reads it:
   that relation matrix, whose ``right`` gives the generators;
 * ``integer_kernel_basis`` builds ``right`` only, whose trailing columns
   span the kernel;
-* ``column_lattice_index`` (subgroup orders) and bordism presentations
-  build neither.
+* ``column_lattice_index`` (subgroup orders) builds neither.
 
 The diagonal and every transform that is built are the same in every
 mode, because the operations on the work matrix are.

@@ -19,8 +19,8 @@ from linkforms import (
     omega_kl,
     t_k,
 )
-from linkforms import bordism
-from linkforms.bordism import _from_presentation
+from linkforms import bordism, invariant_chain
+from linkforms.snf import _eliminate
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +58,28 @@ def test_descriptor_validation():
         AbGroupDescriptor.cyclic(0)
 
 
-def test_presentations():
-    assert _from_presentation(0, []) == AbGroupDescriptor.trivial()
-    assert _from_presentation(3, []) == AbGroupDescriptor.free(3)
-    assert _from_presentation(2, [[2, 0], [0, 3]]) == AbGroupDescriptor.cyclic(6)
-    assert _from_presentation(2, [[2, 0]]) == AbGroupDescriptor(1, (2,))
+def presentation_cokernel(G: AbGroupDescriptor, k: int) -> AbGroupDescriptor:
+    """Oracle: coker(x k : G -> G) as Z^n modulo the relations t e_i of G's
+    torsion and k e_i for every generator, read off a Smith normal form."""
+    n = G.free_rank + len(G.torsion)
+    if n == 0:
+        return AbGroupDescriptor.trivial()
+    cols = [[t if i == G.free_rank + j else 0 for i in range(n)] for j, t in enumerate(G.torsion)]
+    cols += [[k if i == j else 0 for i in range(n)] for j in range(n)]
+    diag, _, _ = _eliminate([[col[i] for col in cols] for i in range(n)])
+    return AbGroupDescriptor(n - sum(1 for d in diag if d), tuple(d for d in diag if d > 1))
+
+
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(2, 2**70), max_size=3),
+    st.one_of(st.sampled_from([0, 1, -1, 2**64, -(2**64) - 1]), st.integers(-(2**70), 2**70)),
+)
+def test_multiplication_cokernel_matches_presentation(free_rank, orders, k):
+    """The closed form agrees with the presentation SNF at k = 0, +-1,
+    negative k and orders past 2^64."""
+    G = AbGroupDescriptor(free_rank, invariant_chain(orders))
+    assert multiplication_cokernel(G, k) == presentation_cokernel(G, k)
 
 
 def test_multiplication_maps():

@@ -20,6 +20,7 @@ from linkforms import (
     standard_w,
     w_power,
 )
+from linkforms import complexes
 import linkforms.errors as errors
 from linkforms.cli import _ERROR_CODES, braced, main
 from linkforms.corpus import scramble_form
@@ -228,6 +229,19 @@ def test_complex_euler_needs_the_top_dimension(tmp_path, capsys):
     assert code == 0
     assert report["data"]["homology"] == {"H_0": "Z^10"}
     assert "euler" not in report["data"]
+
+
+def test_complex_homology_cut_short_exits_5(files, capsys, monkeypatch):
+    """Each of W_3^2's 45 components has 48 vertices and 576 edges, so a
+    budget of 600 cuts every walk before H_0 is finished; the report is
+    refused (exit 5), not given as status ok with partial groups."""
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", 600)
+    code, report = run_json(
+        capsys, "complex", files["w3sq"], "3", "--homology-max-dim", "1"
+    )
+    assert code == 5
+    assert report["data"]["kind"] == "CapExceeded"
+    assert report["data"]["cap"] == 600
 
 
 @pytest.mark.parametrize("flag", ["--verify-links", "--homology-max-dim", "--materialize-cap"])

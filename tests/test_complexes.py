@@ -489,6 +489,43 @@ def test_homology_at_the_budget_edge_matches_per_dimension_loop(seed):
                 assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
+def disjoint_union(A, B):
+    """A and B side by side, their labels tagged "a" and "b"."""
+    adj = np.zeros((A.n_vertices + B.n_vertices,) * 2, dtype=bool)
+    adj[: A.n_vertices, : A.n_vertices] = A.adj
+    adj[A.n_vertices :, A.n_vertices :] = B.adj
+    return FlagComplex([("a", v) for v in A.labels] + [("b", v) for v in B.labels], adj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cut_homology_lists_only_degrees_every_component_finished(seed):
+    """Past the simplex budget, homology lists degree d only when every
+    component listed its (d+1)-faces inside the budget, and each listed
+    degree is the full answer.  A finished walk also lists its trivial
+    degrees up to max_dim."""
+    K = disjoint_union(random_flag_complex(random.Random(seed), n_min=1, n_max=7, p=0.6),
+                       complete_graph(5))
+    comps = [recursive_levels(K.induced(sorted(c, key=repr))) for c in K.components()]
+    full = {max_dim: homology(K, max_dim) for max_dim in (None, 0, 1, 2)}
+    total = max(sum(map(len, levels)) for levels in comps)
+    with pytest.MonkeyPatch.context() as mp:
+        for max_dim, budget in itertools.product((0, 1, 2), range(2, total + 2)):
+            mp.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", budget)
+            got = homology(K, max_dim)
+            finished = [
+                d for d in range(max_dim + 1)
+                if all(sum(map(len, levels[: d + 2])) <= budget for levels in comps)
+            ]
+            assert sorted(got.degrees) == finished
+            assert got.complete == (len(finished) == max_dim + 1)
+            assert got.degrees == {d: full[max_dim].degrees[d] for d in finished}
+        for budget in range(2, total + 2):
+            mp.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", budget)
+            got = homology(K)
+            assert got.degrees == (full[None].degrees if got.complete else {})
+
+
 def test_homology_additive_over_components():
     K = cycle_graph(5)
     D, _ = disjoint_double(K)

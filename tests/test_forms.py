@@ -439,23 +439,25 @@ def test_kernel_form_restricts():
 
 
 def test_extend_to_automorphism_cases():
-    """Every vector of W_3^2 and W_6^2 and seeded samples of W_10^2 and
-    W_12^2.  At composite k, v / gcd(k, v) need not be primitive: on W_6^2,
-    v = (0, 0, 0, 4) gives (0, 0, 0, 2), of order 3."""
+    """Every vector of W_3^2 and W_6^2 and seeded samples of W_10^2,
+    W_12^2, W_6^3, W_4^3 and W_2^4; with three or four blocks, more than
+    one block is taken from a complement.  At composite k, v / gcd(k, v)
+    need not be primitive: on W_6^2, v = (0, 0, 0, 4) gives (0, 0, 0, 2),
+    of order 3."""
     rng = random.Random(6)
-    for k, sample in ((3, None), (6, None), (10, 60), (12, 60)):
-        form = w_power(k, 2)
-        block = [form.group.element((a, b, 0, 0)) for a in range(k) for b in range(k)]
+    for k, g, sample in ((3, 2, None), (6, 2, None), (10, 2, 60), (12, 2, 60),
+                         (6, 3, 100), (4, 3, 100), (2, 4, 100)):
+        form = w_power(k, g)
+        pad = (0,) * (2 * g - 2)
+        block = [form.group.element((a, b) + pad) for a in range(k) for b in range(k)]
         vectors = list(form.group.enumerate_elements())
         for v in vectors if sample is None else rng.sample(vectors, sample):
             phi = extend_to_automorphism(form, v)
             assert phi.is_automorphism()
             assert any(phi(z) == v for z in block)
+    form = direct_sum(standard_w(3), standard_w(9))
     with pytest.raises(InputError):
-        extend_to_automorphism(
-            direct_sum(standard_w(3), standard_w(9)),
-            direct_sum(standard_w(3), standard_w(9)).group.zero(),
-        )
+        extend_to_automorphism(form, form.group.element((0,) * form.group.rank))
 
 
 def test_morphism_compose_and_inverse():

@@ -22,8 +22,9 @@ from linkforms.corpus import random_unit, scramble_form
 
 def brute_subgroup(group, generators):
     """Orbit closure under addition, as a set of coefficient tuples."""
-    seen = {group.zero().coeffs}
-    frontier = [group.zero()]
+    zero = group.element((0,) * group.rank)
+    seen = {zero.coeffs}
+    frontier = [zero]
     while frontier:
         x = frontier.pop()
         for g in generators:
@@ -43,7 +44,7 @@ def test_element_arithmetic():
     assert a.scale(12).is_zero()
     assert a.order == 12
     assert G.element((2, 0)).order == 2
-    assert G.zero().order == 1
+    assert G.element((0,) * G.rank).order == 1
 
 
 def test_exponent_and_order():
@@ -107,8 +108,9 @@ def test_subgroups_of_z12():
 def test_trivial_subgroup_is_empty_generators():
     G = FinAbGroup.of(4, 6)
     assert Subgroup(G, []).order == 1
-    assert Subgroup(G, [G.zero()]).order == 1
-    assert Subgroup(G, [G.zero()]).invariant_factors == ()
+    trivial = Subgroup(G, [G.element((0,) * G.rank)])
+    assert trivial.order == 1
+    assert trivial.invariant_factors == ()
 
 
 def test_sub_coords_round_trip():
@@ -173,7 +175,7 @@ def test_subgroup_eliminates_its_lattice_once(monkeypatch):
 
 def reference_combination(group, coeffs, elements):
     """sum_i c_i * elements[i] by repeated validated scale-and-add."""
-    out = group.zero()
+    out = group.element((0,) * group.rank)
     for c, e in zip(coeffs, elements):
         if c:
             out = out + e.scale(c)

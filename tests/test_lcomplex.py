@@ -389,7 +389,7 @@ def test_link_iso_lazy_outside_int64_gate():
     L = build_l_complex(form, 2, materialize_cap=100)
     assert not L.materialized and L.vertex_count == 2016
     for i in random.Random(13).sample(range(L.vertex_count), 2):
-        assert len(_ambient_link_keys(L, [L.vertex(i)])) == 120
+        assert len(_ambient_link_keys(L, [L.vertex(i)], 120)) == 120
         assert verify_link_iso(L, [i])
 
 
@@ -408,6 +408,41 @@ def test_link_iso_detects_edge_mismatch(L2cube, monkeypatch):
 
     monkeypatch.setattr(lcomplex, "_orthogonality", patched)
     assert not verify_link_iso(L2cube, [i])
+
+
+def test_link_cap_refuses_before_listing(monkeypatch):
+    """Vertex 5 of the lazy W_3^4 complex has 176,904 link vertices, so
+    15,647,424,156 pairs: the count is refused before any complement
+    morphism or ambient key is listed."""
+    L = build_l_complex(w_power(3, 4), 3)
+
+    def listing(*args, **kwargs):
+        raise AssertionError("link listed before the cap check")
+
+    monkeypatch.setattr(lcomplex, "morphisms_from_w", listing)
+    monkeypatch.setattr(lcomplex, "_ambient_link_keys", listing)
+    with pytest.raises(CapExceeded) as info:
+        verify_link_iso(L, [5])
+    assert (info.value.needed, info.value.cap) == (15_647_424_156, lcomplex.LINK_EDGE_PAIR_CAP)
+
+
+@pytest.mark.parametrize("change", ["more", "fewer"])
+def test_link_iso_ambient_total_other_than_n(L2cube, monkeypatch, change):
+    """An ambient link with more, or fewer, candidate pairs than the n
+    complement morphisms is refused, not raised on: more rows than the
+    orthogonal ones give more than n pairs, half of them fewer."""
+    true_rows = lcomplex._orthogonal_rows
+
+    def patched(X, N, D, images):
+        mask = true_rows(X, N, D, images)
+        if change == "more":
+            return np.ones_like(mask)
+        kept = np.flatnonzero(mask)
+        mask[kept[len(kept) // 2:]] = False
+        return mask
+
+    monkeypatch.setattr(lcomplex, "_orthogonal_rows", patched)
+    assert not verify_link_iso(L2cube, [0])
 
 
 def test_link_iso_rejects_non_simplex(L2):
@@ -628,9 +663,12 @@ def test_witness_lazy_through_hub():
 
 
 def test_witness_explicit_path(L2):
+    """An adjacent pair takes the orthogonal shortcut: the path is the edge
+    itself, of length 1."""
     i, j = map(int, np.argwhere(np.triu(L2.flag.adj, 1))[0])
-    res = transitivity_witness(L2, i, j, path=[i, j])
+    res = transitivity_witness(L2, i, j)
     assert res and res.stats["length"] == 1
+    assert [m.key() for m in res.path] == [L2.vertex(i).key(), L2.vertex(j).key()]
 
 
 # ---------------------------------------------------------------------------
