@@ -7,7 +7,8 @@ Each kernel reduces mod D after every matrix product, and it runs
 unchanged on any integer dtype: int64 arrays where
 :func:`fits_int64` proves that every intermediate fits, and ``dtype=object``
 arrays of Python ints, exact at any size, everywhere else.  The caller
-chooses the dtype (``LinkingForm._w_rows``); the kernels never branch on it.
+chooses the dtype (``LinkingForm._numerator_array``); the kernels never
+branch on it.
 A single morphism W_k -> M, first or index-th, needs no kernel: its
 partner is counted out exactly (``forms._partner``).
 

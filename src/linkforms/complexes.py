@@ -366,29 +366,27 @@ def _homology_single(K, max_dim) -> HomologyResult:
 
 
 def _assemble(faces, complete, top, max_dim) -> HomologyResult:
+    """Degrees 0..limit from the listed face levels, where degree d reads
+    the boundaries into and out of dimension d: only those up to limit are
+    eliminated."""
     dims = sorted(faces)
-    ranks: dict[int, int] = {}
-    tors: dict[int, tuple[int, ...]] = {}
-    for d in dims:
-        hi = faces.get(d + 1, [])
-        if hi:
-            res = smith_normal_form(_boundary_matrix(faces[d], hi))
-            ranks[d + 1] = res.rank
-            tors[d] = tuple(x for x in res.diag if x > 1)
-        else:
-            ranks[d + 1] = 0
-            tors[d] = ()
-    degrees = {}
     limit = max_dim if max_dim is not None else (top if top is not None else -1)
     if not complete:  # degree d needs the (d+1)-faces, which a cut walk may lack
         limit = min(limit, len(dims) - 2)
+    ranks: dict[int, int] = {}
+    degrees = {}
     for d in dims:
         if d > limit:
-            continue
-        n_d = len(faces[d])
-        rank_d = ranks.get(d, 0) if d > 0 else 0
-        betti = n_d - rank_d - ranks[d + 1]
-        degrees[d] = AbGroupDescriptor(betti, tors[d])
+            break
+        hi = faces.get(d + 1, [])
+        tors: tuple[int, ...] = ()
+        ranks[d + 1] = 0
+        if hi:
+            res = smith_normal_form(_boundary_matrix(faces[d], hi))
+            ranks[d + 1] = res.rank
+            tors = tuple(x for x in res.diag if x > 1)
+        betti = len(faces[d]) - ranks.get(d, 0) - ranks[d + 1]
+        degrees[d] = AbGroupDescriptor(betti, tors)
     for d in range(len(dims), limit + 1):
         degrees[d] = AbGroupDescriptor.trivial()
     counts = {d: len(fs) for d, fs in faces.items()}

@@ -52,6 +52,18 @@ DEFAULT_VERTEX_CAP = 500_000
 BRUTE_FORCE_ISO_CAP = 6561
 
 
+def _checked_torsion_count(group: FinAbGroup, k: int) -> int:
+    """|M[k]|, refused with CapExceeded past ``ENUMERATION_CAP``."""
+    count = group.torsion_count(k)
+    if count > ENUMERATION_CAP:
+        raise CapExceeded(
+            f"{count} torsion elements exceed cap {ENUMERATION_CAP}",
+            needed=count,
+            cap=ENUMERATION_CAP,
+        )
+    return count
+
+
 class LinkingForm:
     """A strictly skew bilinear form with values in Q/Z."""
 
@@ -100,7 +112,6 @@ class LinkingForm:
         self.denominator = D
         self.numerators = N
         self.name = name
-        self._w_rows_cache: dict[int, tuple] = {}
         self._w_counts_cache: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -153,55 +164,83 @@ class LinkingForm:
 
         ``dtype=object`` holds exact Python ints, for orders beyond int64.
         """
-        count = self.group.torsion_count(k)
-        if count > ENUMERATION_CAP:
-            raise CapExceeded(
-                f"{count} torsion elements exceed cap {ENUMERATION_CAP}",
-                needed=count,
-                cap=ENUMERATION_CAP,
-            )
-        axes = [
-            np.arange(0, d, d // math.gcd(d, k), dtype=dtype)
-            for d in self.group.orders
-        ]
-        if not axes:
-            return np.zeros((1, 0), dtype=dtype)
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return self._torsion_rows(k, 0, _checked_torsion_count(self.group, k), dtype)
+
+    def _torsion_rows(self, k: int, start: int, stop: int, dtype):
+        """Rows start, ..., stop - 1 of ``torsion_matrix(k)``, each made
+        from the mixed-radix digits of its index over the axis sizes
+        gcd(d_j, k), last axis fastest, times d_j / gcd(d_j, k); no other
+        row is built."""
+        # Built column by column into contiguous memory (the transpose of
+        # the rows); stop <= ENUMERATION_CAP < 2^31, and int32 floor
+        # division is several times faster than np.divmod on int64.
+        columns = np.empty((self.group.rank, stop - start), dtype=dtype)
+        index = np.arange(start, stop, dtype=np.int32)
+        for j in reversed(range(self.group.rank)):
+            d = self.group.orders[j]
+            n = math.gcd(d, k)
+            quotient = index // n
+            columns[j] = index - quotient * n
+            columns[j] *= d // n
+            index = quotient
+        return columns.T
+
+    @cached_property
+    def _numerator_array(self):
+        """N as an array, the one place that picks the dtype of the bulk
+        paths: int64 inside the int64 gate, exact Python ints
+        (``dtype=object``) outside it, where the same kernel expressions run
+        exactly."""
+        N = self._np_numerators
+        return np.array(self.numerators, dtype=object) if N is None else N
 
     def _w_rows(self, k: int):
-        """(X, N) for the congruence b(x, y) = 1/k on M[k], cached per k.
+        """(X, N) for the congruence b(x, y) = 1/k on M[k]: X the k-torsion
+        rows, N ``_numerator_array``.  X is built on each call and cached
+        nowhere; only callers that read all of it ask for it."""
+        N = self._numerator_array
+        return self.torsion_matrix(k, dtype=N.dtype), N
 
-        X holds the k-torsion rows and N the Gram numerators.  This is the
-        one place that picks their dtype: int64 inside the int64 gate, exact
-        Python ints (``dtype=object``) outside it, where the same kernel
-        expressions run exactly.
-        """
-        cached = self._w_rows_cache.get(k)
-        if cached is None:
-            exact = self._np_numerators is None
-            N = np.array(self.numerators, dtype=object) if exact else self._np_numerators
-            cached = (self.torsion_matrix(k, dtype=N.dtype), N)
-            self._w_rows_cache[k] = cached
-        return cached
+    def _row_gcds(self, k: int, start: int, stop: int):
+        """gcd(D, (x N mod D) * step) for the rows x = start, ..., stop - 1
+        of ``torsion_matrix(k)``, step_j = d_j / gcd(d_j, k); only this
+        block of rows is built (``_torsion_rows``), and its temporaries are
+        freed on return, before the next block's are made."""
+        N = self._numerator_array
+        X = self._torsion_rows(k, start, stop, N.dtype)
+        XN = X @ N
+        XN %= self.denominator
+        XN *= np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=N.dtype)
+        return np.gcd(np.gcd.reduce(XN, axis=1), self.denominator)
 
     def _w_counts(self, k: int):
         """cum[i] = number of solutions (x, y) of b(x, y) = 1/k with x among
-        the first i + 1 rows of ``_w_rows(k)``, cached per k.
+        the first i + 1 rows of ``torsion_matrix(k)``, cached per k: the one
+        table of |M[k]| entries that the form keeps.
 
         For c = x N mod D and step_i = d_i / gcd(d_i, k), the functional
         b(x, -) maps M[k] onto the cyclic group of order D / g,
         g = gcd(D, c_i step_i), so row x has |M[k]| g / D solutions y when g
-        divides D / k and none otherwise.  Requires k | D.
+        divides D / k and none otherwise.  Requires k | D.  The g of the
+        rows come in blocks of ``_kernels._BLOCK_CELLS`` cells
+        (``_row_gcds``), so no torsion matrix is built, and the enumeration
+        cap is checked before any array is allocated.
         """
         cum = self._w_counts_cache.get(k)
         if cum is None:
-            X, N = self._w_rows(k)
+            count = _checked_torsion_count(self.group, k)
             D = self.denominator
-            steps = np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=N.dtype)
-            g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
-            counts = np.where(D // k % g == 0, self.group.torsion_count(k) // (D // g), 0)
-            cum = self._w_counts_cache[k] = np.cumsum(counts, dtype=np.int64)
+            rows = max(1, _kernels._BLOCK_CELLS // max(self.group.rank, 1))
+            cum = np.empty(count, dtype=np.int64)
+            total = 0
+            for start in range(0, count, rows):
+                g = self._row_gcds(k, start, min(start + rows, count))
+                block = cum[start:start + rows]
+                block[:] = np.where(D // k % g == 0, count // (D // g), 0)
+                np.cumsum(block, out=block)
+                block += total
+                total = int(block[-1])
+            self._w_counts_cache[k] = cum
         return cum
 
     def __eq__(self, other) -> bool:
@@ -524,27 +563,32 @@ def _partner(form: LinkingForm, k: int, x: GroupElement, offset: int) -> GroupEl
     return form.group.element(coeffs)
 
 
+def _torsion_row(group: FinAbGroup, sizes, i: int) -> GroupElement:
+    """Row i of ``torsion_matrix(k)``, with sizes[j] = gcd(d_j, k), in
+    exact integers: ``LinkingForm._torsion_rows`` for one row, with no
+    array built."""
+    coeffs = []
+    for d, n in zip(reversed(group.orders), reversed(sizes)):
+        i, t = divmod(i, n)
+        coeffs.append(t * (d // n))
+    return group.element(coeffs[::-1])
+
+
 def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
     """Lexicographically first morphism W_k -> form, or None.
 
     Walks the k-torsion rows lazily, in ``torsion_matrix`` order, up to
-    the first one with a partner (``_partner``), O(rank^2) per row; no
-    torsion array is built or cached on the form.  Row i is read off as
-    the mixed-radix digits of i over the axis sizes gcd(d_j, k), last axis
-    fastest, so no axis is held in memory either.
+    the first one with a partner (``_partner``), O(rank^2) per row; each
+    row is read off its index (``_torsion_row``), so no torsion array or
+    axis is built or cached on the form.
     """
     if k < 2:
         raise InputError("k must be >= 2")
     if form.denominator % k != 0:  # includes rank 0, where D = 1
         return None
-    orders = form.group.orders
-    sizes = [math.gcd(d, k) for d in orders]
+    sizes = [math.gcd(d, k) for d in form.group.orders]
     for i in range(math.prod(sizes)):
-        digits = []
-        for n in reversed(sizes):
-            i, t = divmod(i, n)
-            digits.append(t)
-        x = form.group.element([t * (d // n) for t, d, n in zip(reversed(digits), orders, sizes)])
+        x = _torsion_row(form.group, sizes, i)
         y = _partner(form, k, x, 0)
         if y is not None:
             return w_morphism(form, k, x, y)
@@ -554,20 +598,19 @@ def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
 def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
     """The index-th morphism in the lexicographic enumeration.
 
-    The first call for (form, k) caches the torsion matrix and the
-    cumulative per-row solution counts on the form (``_w_counts``): 8 bytes
-    per torsion row on top of the matrix.  A lookup finds its row x by
-    binary search, O(log |M[k]|), and then counts its partner y out with
-    ``_partner``, with no scan of M[k].  The result is still checked by
-    ``w_morphism``'s exact pairing test.
+    The first call for (form, k) caches the cumulative per-row solution
+    counts on the form (``_w_counts``), 8 bytes per torsion row and no
+    torsion matrix.  A lookup finds its row index i by binary search,
+    O(log |M[k]|), reads row x off i (``_torsion_row``), and then counts
+    its partner y out with ``_partner``, with no scan of M[k].  The result
+    is still checked by ``w_morphism``'s exact pairing test.
     """
     total = count_w_morphisms(form, k)
     if not 0 <= index < total:
         raise InputError(f"index {index} out of range ({total} morphisms)")
-    X, _ = form._w_rows(k)
     cum = form._w_counts(k)
     i = int(np.searchsorted(cum, index, side="right"))
-    x = form.group.element(X[i].tolist())
+    x = _torsion_row(form.group, [math.gcd(d, k) for d in form.group.orders], i)
     y = _partner(form, k, x, index - (int(cum[i - 1]) if i else 0))
     if y is None:
         raise InvariantError(f"row {i} of index {index} has no solution")

@@ -306,8 +306,7 @@ class Subgroup:
         stacked = [C1[i] + [-v for v in C2[i]] for i in range(r)]
         gen_rows = [row[:n] for row in C1]
         gens = []
-        for vec in integer_kernel_basis(stacked):
-            a = vec[:n]
+        for a in integer_kernel_basis(stacked, rows=n):
             coeffs = tuple(sum(map(operator.mul, row, a)) for row in gen_rows)
             g = GroupElement(self.group, coeffs)
             if not g.is_zero():
@@ -359,8 +358,8 @@ def solve_congruence_system(group: FinAbGroup, rows) -> Subgroup:
         return Subgroup(group, [group.generator(i) for i in range(r)])
     # Kernel of (z, w) -> C z + diag(m) w, projected to z.
     gens = []
-    for vec in integer_kernel_basis(stacked):
-        g = GroupElement(group, tuple(vec[:r]))
+    for vec in integer_kernel_basis(stacked, rows=r):
+        g = GroupElement(group, tuple(vec))
         if not g.is_zero():
             gens.append(g)
     return Subgroup(group, gens)

@@ -79,7 +79,7 @@ def _orthogonality(form: LinkingForm, k: int, keys) -> np.ndarray:
     with keys ``keys``, (x, y) coefficient tuples: the edge relation off the
     diagonal (module docstring).  Each distinct coefficient tuple is one
     row of the kernel's element array."""
-    _, N = form._w_rows(k)
+    N = form._numerator_array
     index: dict[tuple, int] = {}
     pairs = np.array(
         [[index.setdefault(c, len(index)) for c in key] for key in keys], dtype=np.intp

@@ -21,7 +21,9 @@ each unimodular transform only when its caller reads it:
   diagonal and ``left`` give the relation matrix, and ``right`` only for
   that relation matrix, whose ``right`` gives the generators;
 * ``integer_kernel_basis`` builds ``right`` only, whose trailing columns
-  span the kernel;
+  span the kernel, and only the leading rows its caller reads
+  (``Subgroup.intersection`` and ``solve_congruence_system`` read the
+  coordinates of the group, not those of the relations);
 * ``column_lattice_index`` (subgroup orders) builds neither.
 
 The diagonal and every transform that is built are the same in every
@@ -36,8 +38,9 @@ from dataclasses import dataclass
 Matrix = list[list[int]]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def identity_matrix(n: int, rows: int | None = None) -> Matrix:
+    """The n x n identity, or its first ``rows`` rows."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n if rows is None else rows)]
 
 
 @dataclass(frozen=True)
@@ -56,16 +59,21 @@ class SNFResult:
     rank: int
 
 
-def _eliminate(A: Matrix, want_left: bool = False, want_right: bool = False):
+def _eliminate(
+    A: Matrix, want_left: bool = False, want_right: bool = False, right_rows: int | None = None
+):
     """Diagonalize A by unimodular row and column operations.
 
     Returns ``(diag, left, right)`` with ``left @ A @ right`` diagonal.
     ``left`` is accumulated only when ``want_left`` is set and ``right``
     only when ``want_right`` is, each None otherwise; ``diag`` and the
-    operation sequence are the same in every mode.  Once pivot ``t`` is
-    placed, rows and columns before ``t`` are zero off the diagonal, so a
-    row operation touches columns ``t..`` only, and a column operation made
-    after column ``t`` is clear below the pivot changes row ``t`` only.
+    operation sequence are the same in every mode.  A column operation
+    acts on each row of ``right`` alone, so with ``right_rows`` only the
+    first ``right_rows`` rows are accumulated, and they are those rows of
+    the full ``right``.  Once pivot ``t`` is placed, rows and columns
+    before ``t`` are zero off the diagonal, so a row operation touches
+    columns ``t..`` only, and a column operation made after column ``t``
+    is clear below the pivot changes row ``t`` only.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -74,7 +82,7 @@ def _eliminate(A: Matrix, want_left: bool = False, want_right: bool = False):
         if len(row) != n:
             raise ValueError("ragged matrix")
     left = identity_matrix(m) if want_left else None
-    right = identity_matrix(n) if want_right else None
+    right = identity_matrix(n, right_rows) if want_right else None
 
     def swap_rows(a: int, b: int) -> None:
         work[a], work[b] = work[b], work[a]
@@ -183,15 +191,15 @@ def smith_normal_form(A: Matrix) -> SNFResult:
     return SNFResult(left=left, diag=diag, right=right, rank=sum(1 for d in diag if d))
 
 
-def integer_kernel_basis(A: Matrix) -> list[list[int]]:
-    """Basis (as column vectors) of {v : A @ v = 0} over Z."""
+def integer_kernel_basis(A: Matrix, rows: int | None = None) -> list[list[int]]:
+    """Basis (as column vectors) of {v : A @ v = 0} over Z; with ``rows``,
+    each vector cut to its first ``rows`` coordinates, which is all that is
+    accumulated."""
     m = len(A)
     n = len(A[0]) if m else 0
     if n == 0:
         return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    diag, _, right = _eliminate(A, want_right=True)
+    diag, _, right = _eliminate(A, want_right=True, right_rows=rows)
     rank = sum(1 for d in diag if d)
     # A v = 0 iff the first `rank` coordinates of right^-1 v vanish, so the
     # kernel is spanned by the trailing columns of `right`.

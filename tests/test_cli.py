@@ -263,6 +263,17 @@ def test_complex_force_materialize_exits_5(files, capsys):
     assert report["data"]["cap"] == 100
 
 
+def test_complex_past_enumeration_cap_exits_5(tmp_path, capsys):
+    """W_3^9 has 3^18 torsion rows at k = 3, past the enumeration cap: the
+    lazy complex is refused (exit 5) before any row table is built."""
+    path = tmp_path / "w3_9.json"
+    path.write_text(json.dumps(form_to_document(w_power(3, 9))))
+    code, report = run_json(capsys, "complex", str(path), "3")
+    assert code == 5
+    assert report["data"]["kind"] == "CapExceeded"
+    assert report["data"]["needed"] == 3**18
+
+
 def test_complex_lazy_refuses_homology(files, capsys):
     code, report = run_json(
         capsys,

@@ -520,10 +520,27 @@ def test_cut_homology_lists_only_degrees_every_component_finished(seed):
             assert sorted(got.degrees) == finished
             assert got.complete == (len(finished) == max_dim + 1)
             assert got.degrees == {d: full[max_dim].degrees[d] for d in finished}
+        # a cut component walk with max_dim=None lists no degree, so it
+        # eliminates no boundary either
+        snfs, walks = [], []
+        snf, single = complexes.smith_normal_form, complexes._homology_single
+
+        def counted_walk(C, max_dim):
+            before = len(snfs)
+            res = single(C, max_dim)
+            walks.append((res.complete, len(snfs) - before))
+            return res
+
+        mp.setattr(complexes, "smith_normal_form", lambda A: snfs.append(A) or snf(A))
+        mp.setattr(complexes, "_homology_single", counted_walk)
         for budget in range(2, total + 2):
             mp.setattr(complexes, "DEFAULT_SIMPLEX_BUDGET", budget)
+            walks.clear()
             got = homology(K)
             assert got.degrees == (full[None].degrees if got.complete else {})
+            assert len(walks) == len(comps)
+            assert all(n == 0 for complete, n in walks if not complete)
+            assert got.complete or not all(complete for complete, _ in walks)
 
 
 def test_homology_additive_over_components():

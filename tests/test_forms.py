@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,9 @@ from linkforms import (
     w_power,
 )
 from linkforms.corpus import block_sum, random_scrambled_pair, scramble_form
+from linkforms.errors import CapExceeded
 from linkforms.forms import Subform
+from linkforms.lcomplex import build_l_complex
 
 
 def torsion_elements(group, k):
@@ -607,14 +610,113 @@ def test_first_w_morphism_holds_no_torsion_axis():
     assert f.key() == ((0, 1), (k - 1, 0))
 
 
+def torsion_sized_arrays(form, k):
+    """Paths of the arrays held on the form, directly or inside dicts and
+    tuples, with one entry per row of M[k]."""
+    rows = form.group.torsion_count(k)
+    found = []
+
+    def visit(path, value):
+        if isinstance(value, dict):
+            for key, v in value.items():
+                visit(f"{path}[{key}]", v)
+        elif isinstance(value, tuple):
+            for i, v in enumerate(value):
+                visit(f"{path}[{i}]", v)
+        elif isinstance(value, np.ndarray) and value.ndim and value.shape[0] == rows:
+            found.append(path)
+
+    for name, value in vars(form).items():
+        visit(name, value)
+    return found
+
+
 @pytest.mark.parametrize("modulus, g, k", [(3, 3, 3), (2 * 1048583, 2, 2)], ids=["W_3^3", "W_2p^2"])
 def test_first_w_morphism_caches_no_torsion_table(modulus, g, k):
     """The row walk builds no torsion array, inside the int64 gate and on
-    the exact path, so a short-lived form keeps no table."""
+    the exact path, so a short-lived form keeps no table, not even the
+    per-row counts."""
     form = w_power(modulus, g)
     assert first_w_morphism(form, k) is not None
-    assert form._w_rows_cache == {}
+    assert torsion_sized_arrays(form, k) == []
     assert form._w_counts_cache == {}
+
+
+@pytest.mark.parametrize("modulus, g, k", [(3, 4, 3), (2 * 1048583, 2, 2)], ids=["W_3^4", "W_2p^2"])
+def test_lookups_keep_only_the_counts(modulus, g, k):
+    """After index lookups the only table of |M[k]| entries on the form is
+    the per-row counts; no torsion matrix is cached."""
+    form = w_power(modulus, g)
+    total = count_w_morphisms(form, k)
+    for index in (0, total // 3, total - 1):
+        w_morphism_by_index(form, k, index)
+    assert torsion_sized_arrays(form, k) == [f"_w_counts_cache[{k}]"]
+
+
+def full_matrix_counts(form, k):
+    """Oracle for ``_w_counts``: the per-row solution counts from the whole
+    torsion matrix at once, summed by ``np.cumsum``."""
+    X, N = form._w_rows(k)
+    D = form.denominator
+    steps = np.array([d // math.gcd(d, k) for d in form.group.orders], dtype=N.dtype)
+    g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
+    counts = np.where(D // k % g == 0, form.group.torsion_count(k) // (D // g), 0)
+    return np.cumsum(counts, dtype=np.int64)
+
+
+# (blocks, k): composite k, on int64 forms and on exact forms past the gate
+# (4 (2^18 + 1) > 2^20; 4 * 3^41 > 2^64)
+BLOCK_COUNT_CASES = [
+    ((4, 6), 2), ((4, 12), 4), ((6, 6), 6), ((12,), 6), ((2, 4, 6), 2), ((9, 3), 9),
+    ((4 * ((1 << 18) + 1), 4), 4), ((4 * ((1 << 18) + 1), 12), 4), ((4 * 3**41, 6), 2),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BLOCK_COUNT_CASES), st.integers(0, 10**6), st.data())
+def test_blockwise_counts_match_full_matrix(case, seed, data):
+    """Counts built block by block equal the whole-matrix oracle when M[k]
+    has B - 1, B or B + 1 rows for a block of B rows, and over several
+    blocks."""
+    blocks, k = case
+    form, _ = scramble_form(block_sum(blocks), random.Random(seed))
+    assert (form._np_numerators is None) == (form.denominator > 1 << 20)
+    rows = form.group.torsion_count(k)
+    B = data.draw(st.sampled_from([rows - 1, rows, rows + 1, max(1, rows // 3), 1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms._kernels, "_BLOCK_CELLS", max(B, 1) * form.group.rank)
+        got = form._w_counts(k)
+    assert got.dtype == np.int64
+    assert got.tolist() == full_matrix_counts(form, k).tolist()
+
+
+def test_w_counts_refused_before_any_allocation():
+    """W_3^9 at k = 3 has 3^18 torsion rows, past the enumeration cap: the
+    lazy build refuses at once with the row count, allocating nothing."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        build_l_complex(w_power(3, 9), 3)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert err.value.needed == 3**18
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
+def test_lazy_w_3_6_memory():
+    """The lazy W_3^6 complex (3^12 torsion rows) and 10 lookups stay under
+    16 MB of traced allocations: 4.25 MB of counts plus fixed-size blocks.
+    A cached torsion matrix with its products took about 150 MB."""
+    tracemalloc.start()
+    L = build_l_complex(w_power(3, 6), 3)
+    for i in range(10):
+        L.vertex(i * 1000003 % L.vertex_count)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert not L.materialized
+    assert peak < 16 << 20
 
 
 @settings(max_examples=12, deadline=None)

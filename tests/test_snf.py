@@ -199,3 +199,17 @@ def test_diagonal_only_elimination(m, n, zero, data):
         assert diag == full.diag
         assert left == (full.left if want_left else None)
         assert right == (full.right if want_right else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4),
+        st.integers(0, n),
+    )
+))
+def test_kernel_basis_rows_are_the_full_basis_cut(case):
+    """Accumulating only the leading rows of ``right`` gives exactly the
+    full basis cut to those coordinates, with entries past 2^64 too."""
+    A, rows = case
+    assert integer_kernel_basis(A, rows=rows) == [v[:rows] for v in integer_kernel_basis(A)]
