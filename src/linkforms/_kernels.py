@@ -4,11 +4,10 @@ Every linking-form value on the k-torsion of a group with common Gram
 denominator D is an integer numerator mod D, so bulk pairing evaluation,
 morphism enumeration and orthogonality tests reduce to integer matrix work.
 Each kernel reduces mod D after every matrix product, and it runs
-unchanged on any integer dtype: int64 arrays where
-:func:`fits_int64` proves that every intermediate fits, and ``dtype=object``
-arrays of Python ints, exact at any size, everywhere else.  The caller
-chooses the dtype (``LinkingForm._numerator_array``); the kernels never
-branch on it.
+unchanged on any integer dtype: int64 arrays where :func:`fits_int64`
+proves that every intermediate fits, ``dtype=object`` arrays of Python ints
+everywhere else.  The form picks one dtype for all its arrays
+(``LinkingForm._numerator_array``); the kernels never branch on it.
 A single morphism W_k -> M, first or index-th, needs no kernel: its
 partner is counted out exactly (``forms._partner``).
 
@@ -26,10 +25,6 @@ import numpy as np
 # The machine descriptor of the benchmark (perfbench/run.py) reads this flag.
 USING_NUMBA = False
 
-# Largest modulus/order/rank of the int64 path.  The kernels reduce mod D
-# between products, so each needs rank * dmax * D < 2**63: 2**46 at these limits.
-_MOD_LIMIT = 1 << 20
-_RANK_LIMIT = 64
 # Cells (rows x columns) of one block of a pairing table or adjacency;
 # bounds the transient memory of the pair searches, the orthogonality
 # adjacency and the flag-complex symmetry check.
@@ -37,7 +32,16 @@ _BLOCK_CELLS = 1 << 18
 
 
 def fits_int64(D: int, dmax: int, rank: int) -> bool:
-    return D <= _MOD_LIMIT and dmax <= _MOD_LIMIT and rank <= _RANK_LIMIT
+    """Whether int64 is exact: rank * dmax * D < 2**63, dmax the largest
+    group order.  Every entry is a coefficient or step at most dmax or a
+    numerator below D, and each product is reduced mod D before the next,
+    so every intermediate is a sum of at most ``rank`` products below
+    dmax * D, and a step of dmax itself fits.  The call sites:
+    ``LinkingForm._np_numerators``, ``_numerator_array``, ``_torsion_rows``
+    and ``_row_gcds`` (X @ N mod D is scaled by the steps),
+    ``lcomplex._orthogonality`` and ``_orthogonal_rows``, and
+    ``pairs_hitting``, ``orth_adjacency`` and ``row_values`` here."""
+    return rank * dmax * D < 1 << 63
 
 
 def pairs_hitting(X, N, D, target, limit):

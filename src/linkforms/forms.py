@@ -8,8 +8,8 @@ strictness (b(x, x) = 0 for every x, including 2-torsion) follows.  The
 ``QZValue`` matrix ``gram`` is derived from (D, N) for documents and
 callers, and ``evaluate`` returns a ``QZValue``; inside the package every
 pairing is an integer numerator, through ``dual_functional_rows``.  The
-bulk enumeration paths hand coefficient arrays to ``linkforms._kernels``:
-int64 inside the ``fits_int64`` gate, exact Python ints outside it.
+bulk enumeration paths hand ``linkforms._kernels`` arrays of one dtype per
+form: int64 where rank * dmax * D < 2**63, exact Python ints elsewhere.
 Complements and splittings run exact through the Smith-normal-form
 machinery in ``linkforms.groups``; the one congruence b(x, y) = 1/k that
 enumeration, classification and automorphism extension solve is counted
@@ -159,14 +159,12 @@ class LinkingForm:
         D = self.denominator
         return [-sum(map(operator.mul, row, x.coeffs)) % D for row in self.numerators], D
 
-    def torsion_matrix(self, k: int, dtype=np.int64):
-        """Array of {z : k z = 0} coefficients in lexicographic order.
+    def torsion_matrix(self, k: int):
+        """Array of {z : k z = 0} coefficients in lexicographic order, in
+        the dtype of ``_numerator_array``."""
+        return self._torsion_rows(k, 0, _checked_torsion_count(self.group, k))
 
-        ``dtype=object`` holds exact Python ints, for orders beyond int64.
-        """
-        return self._torsion_rows(k, 0, _checked_torsion_count(self.group, k), dtype)
-
-    def _torsion_rows(self, k: int, start: int, stop: int, dtype):
+    def _torsion_rows(self, k: int, start: int, stop: int):
         """Rows start, ..., stop - 1 of ``torsion_matrix(k)``, each made
         from the mixed-radix digits of its index over the axis sizes
         gcd(d_j, k), last axis fastest, times d_j / gcd(d_j, k); no other
@@ -174,7 +172,7 @@ class LinkingForm:
         # Built column by column into contiguous memory (the transpose of
         # the rows); stop <= ENUMERATION_CAP < 2^31, and int32 floor
         # division is several times faster than np.divmod on int64.
-        columns = np.empty((self.group.rank, stop - start), dtype=dtype)
+        columns = np.empty((self.group.rank, stop - start), dtype=self._numerator_array.dtype)
         index = np.arange(start, stop, dtype=np.int32)
         for j in reversed(range(self.group.rank)):
             d = self.group.orders[j]
@@ -194,20 +192,13 @@ class LinkingForm:
         N = self._np_numerators
         return np.array(self.numerators, dtype=object) if N is None else N
 
-    def _w_rows(self, k: int):
-        """(X, N) for the congruence b(x, y) = 1/k on M[k]: X the k-torsion
-        rows, N ``_numerator_array``.  X is built on each call and cached
-        nowhere; only callers that read all of it ask for it."""
-        N = self._numerator_array
-        return self.torsion_matrix(k, dtype=N.dtype), N
-
     def _row_gcds(self, k: int, start: int, stop: int):
         """gcd(D, (x N mod D) * step) for the rows x = start, ..., stop - 1
         of ``torsion_matrix(k)``, step_j = d_j / gcd(d_j, k); only this
         block of rows is built (``_torsion_rows``), and its temporaries are
         freed on return, before the next block's are made."""
         N = self._numerator_array
-        X = self._torsion_rows(k, start, stop, N.dtype)
+        X = self._torsion_rows(k, start, stop)
         XN = X @ N
         XN %= self.denominator
         XN *= np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=N.dtype)
@@ -500,7 +491,7 @@ def _w_pairs(form: LinkingForm, k: int, cap: int) -> list[tuple[tuple, tuple]]:
         )
     if total == 0:
         return []
-    X, N = form._w_rows(k)
+    X, N = form.torsion_matrix(k), form._numerator_array
     D = form.denominator
     pairs, found = _kernels.pairs_hitting(X, N, D, D // k, total)
     if found != total:

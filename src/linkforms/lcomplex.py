@@ -132,9 +132,7 @@ class LComplex:
             if i.target != self.form or i.source != standard_w(self.k):
                 raise InputError("morphism is not a vertex of this complex")
             return i
-        i = int(i)
-        if not 0 <= i < self.vertex_count:
-            raise InputError(f"vertex index {i} out of range")
+        i = self.index_of(i)
         if self._keys is None:
             return w_morphism_by_index(self.form, self.k, i)
         f = self._vertices.get(i)
@@ -144,8 +142,11 @@ class LComplex:
         return f
 
     def index_of(self, f) -> int:
-        if isinstance(f, (int, np.integer)):
-            return int(f)
+        if not isinstance(f, FormMorphism):
+            i = int(f)
+            if not 0 <= i < self.vertex_count:
+                raise InputError(f"vertex index {i} out of range")
+            return i
         f = self.vertex(f)
         if self._keys is None:
             raise CapExceeded("index lookup requires materialization")
@@ -237,7 +238,7 @@ def _ambient_link_keys(L: LComplex, morphs: list[FormMorphism], cap: int) -> set
     D = form.denominator
     if D % k != 0:  # no element pairs to 1/k, so the complex is empty
         return set()
-    X, N = form._w_rows(k)
+    X, N = form.torsion_matrix(k), form._numerator_array
     images = [img.coeffs for m in morphs for img in (m.x, m.y)]
     Xsub = X[_orthogonal_rows(X, N, D, images)]
     pairs, total = _kernels.pairs_hitting(Xsub, N, D, D // k, cap)

@@ -37,10 +37,19 @@ from linkforms import (
     w_morphism_by_index,
     w_power,
 )
+from linkforms._kernels import fits_int64
 from linkforms.corpus import block_sum, random_scrambled_pair, scramble_form
 from linkforms.errors import CapExceeded
 from linkforms.forms import Subform
 from linkforms.lcomplex import build_l_complex
+
+# D = 2 * P is past the int64 gate already at rank 2 (2 * D**2 > 2**63):
+# forms over it take the exact path.
+P = (1 << 31) - 1
+
+
+def fits_gate(form):
+    return fits_int64(form.denominator, max(form.group.orders, default=1), form.group.rank)
 
 
 def torsion_elements(group, k):
@@ -198,10 +207,21 @@ def brute_w_pair_keys(form, k):
     ]
 
 
+def test_torsion_matrix_exact_past_int64():
+    """Coefficients past int64 are held exactly: W_{2^64} has 4-torsion
+    coefficients 0, 2^62, 2^63 and 3 * 2^62, and a cyclic group of order
+    2^63 (rank 1, D = 1) has a step of 2^63 at k = 3."""
+    rows = standard_w(1 << 64).torsion_matrix(4).tolist()
+    assert rows == [[a << 62, b << 62] for a in range(4) for b in range(4)]
+    zero = LinkingForm(FinAbGroup.of(1 << 63), [[QZValue(0, 1)]])
+    assert zero.torsion_matrix(3).tolist() == [[0]]
+    assert zero.torsion_matrix(2).tolist() == [[0], [1 << 62]]
+
+
 def test_indexed_enumeration_outside_int64_gate():
-    # D = 2 * 1048583 exceeds the 2**20 gate, so the kernels run on exact
+    # D = 2 * P is past the int64 gate, so the kernels run on exact
     # Python ints; every index is served, none reports malformed input
-    form = w_power(2 * 1048583, 2)
+    form = w_power(2 * P, 2)
     assert form._np_numerators is None
     want = brute_w_pair_keys(form, 2)
     morphs = morphisms_from_w(form, 2)
@@ -522,7 +542,7 @@ def brute_lex_keys(form, k):
     D = form.denominator
     if D % k:
         return []
-    X, N = form._w_rows(k)
+    X, N = form.torsion_matrix(k), form._numerator_array
     table = ((X @ N) % D @ X.T) % D
     rows = [tuple(x) for x in X.tolist()]
     return [(rows[i], rows[j]) for i, j in np.argwhere(table == D // k).tolist()]
@@ -631,22 +651,24 @@ def torsion_sized_arrays(form, k):
     return found
 
 
-@pytest.mark.parametrize("modulus, g, k", [(3, 3, 3), (2 * 1048583, 2, 2)], ids=["W_3^3", "W_2p^2"])
+@pytest.mark.parametrize("modulus, g, k", [(3, 3, 3), (2 * P, 2, 2)], ids=["W_3^3", "W_2p^2"])
 def test_first_w_morphism_caches_no_torsion_table(modulus, g, k):
     """The row walk builds no torsion array, inside the int64 gate and on
     the exact path, so a short-lived form keeps no table, not even the
     per-row counts."""
     form = w_power(modulus, g)
+    assert (form._np_numerators is None) == (modulus == 2 * P)
     assert first_w_morphism(form, k) is not None
     assert torsion_sized_arrays(form, k) == []
     assert form._w_counts_cache == {}
 
 
-@pytest.mark.parametrize("modulus, g, k", [(3, 4, 3), (2 * 1048583, 2, 2)], ids=["W_3^4", "W_2p^2"])
+@pytest.mark.parametrize("modulus, g, k", [(3, 4, 3), (2 * P, 2, 2)], ids=["W_3^4", "W_2p^2"])
 def test_lookups_keep_only_the_counts(modulus, g, k):
     """After index lookups the only table of |M[k]| entries on the form is
     the per-row counts; no torsion matrix is cached."""
     form = w_power(modulus, g)
+    assert (form._np_numerators is None) == (modulus == 2 * P)
     total = count_w_morphisms(form, k)
     for index in (0, total // 3, total - 1):
         w_morphism_by_index(form, k, index)
@@ -656,7 +678,7 @@ def test_lookups_keep_only_the_counts(modulus, g, k):
 def full_matrix_counts(form, k):
     """Oracle for ``_w_counts``: the per-row solution counts from the whole
     torsion matrix at once, summed by ``np.cumsum``."""
-    X, N = form._w_rows(k)
+    X, N = form.torsion_matrix(k), form._numerator_array
     D = form.denominator
     steps = np.array([d // math.gcd(d, k) for d in form.group.orders], dtype=N.dtype)
     g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
@@ -665,10 +687,10 @@ def full_matrix_counts(form, k):
 
 
 # (blocks, k): composite k, on int64 forms and on exact forms past the gate
-# (4 (2^18 + 1) > 2^20; 4 * 3^41 > 2^64)
+# (4P is past it at rank 4; 4 * 3^41 > 2^64)
 BLOCK_COUNT_CASES = [
     ((4, 6), 2), ((4, 12), 4), ((6, 6), 6), ((12,), 6), ((2, 4, 6), 2), ((9, 3), 9),
-    ((4 * ((1 << 18) + 1), 4), 4), ((4 * ((1 << 18) + 1), 12), 4), ((4 * 3**41, 6), 2),
+    ((4 * P, 4), 4), ((4 * P, 12), 4), ((4 * 3**41, 6), 2),
 ]
 
 
@@ -680,7 +702,7 @@ def test_blockwise_counts_match_full_matrix(case, seed, data):
     blocks."""
     blocks, k = case
     form, _ = scramble_form(block_sum(blocks), random.Random(seed))
-    assert (form._np_numerators is None) == (form.denominator > 1 << 20)
+    assert (form._np_numerators is None) == (not fits_gate(form)) == (max(blocks) > 12)
     rows = form.group.torsion_count(k)
     B = data.draw(st.sampled_from([rows - 1, rows, rows + 1, max(1, rows // 3), 1]))
     with pytest.MonkeyPatch.context() as mp:
@@ -688,6 +710,44 @@ def test_blockwise_counts_match_full_matrix(case, seed, data):
         got = form._w_counts(k)
     assert got.dtype == np.int64
     assert got.tolist() == full_matrix_counts(form, k).tolist()
+
+
+def form_next_to(D, r, rng):
+    """A form on (Z/D)^r whose numerators above the diagonal lie next to D;
+    the first is D - 1, so D is the form's denominator."""
+    N = [[0] * r for _ in range(r)]
+    for i, j in itertools.combinations(range(r), 2):
+        N[i][j] = D - 1 - (rng.randrange(64) if (i, j) != (0, 1) else 0)
+        N[j][i] = D - N[i][j]
+    return LinkingForm._from_numerators(FinAbGroup((D,) * r), D, N)
+
+
+@pytest.mark.parametrize("r", [2, 5, 12])
+def test_row_counts_at_int64_gate_edge(r):
+    """``_row_gcds`` and ``_w_counts`` at k = 3 on (Z/D)^r, numerators next
+    to D: D the largest odd multiple of 3 with r * D * D < 2**63 gets int64
+    arrays, the next one, past 2**63, gets dtype=object, and both agree with
+    Python integers on the last 64 rows of M[3] (coefficients up to 2D/3)
+    and, at rank 5 and below, on the counts of every row."""
+    square = math.isqrt(((1 << 63) - 1) // r)
+    inside = square - (square - 3) % 6
+    rows = 3**r
+    for D, want in ((inside, np.int64), (inside + 6, object)):
+        form = form_next_to(D, r, random.Random(D))
+        assert form.denominator == D
+        assert form._numerator_array.dtype == want
+        assert form._torsion_rows(3, 0, 1).dtype == want
+
+        def g_of(i):
+            x = forms._torsion_row(form.group, [3] * r, i).coeffs
+            c = [sum(a * n for a, n in zip(x, col)) for col in zip(*form.numerators)]
+            return math.gcd(D, *(cj * (D // 3) for cj in c))
+
+        start = max(0, rows - 64)
+        assert form._row_gcds(3, start, rows).tolist() == [g_of(i) for i in range(start, rows)]
+        if r <= 5:
+            counts = [rows * g // D if D // 3 % g == 0 else 0 for g in map(g_of, range(rows))]
+            assert form._w_counts(3).tolist() == list(itertools.accumulate(counts))
 
 
 def test_w_counts_refused_before_any_allocation():
@@ -747,7 +807,7 @@ def test_indexed_enumeration_property(blocks, seed, rnd):
 def scanned_partner_lookup(form, k, index):
     """Oracle for ``w_morphism_by_index``: the same binary search for the
     row x, then a scan of all of M[k] for the partners y of that row."""
-    X, N = form._w_rows(k)
+    X, N = form.torsion_matrix(k), form._numerator_array
     cum = form._w_counts(k)
     D = form.denominator
     i = int(np.searchsorted(cum, index, side="right"))
@@ -827,11 +887,14 @@ def test_partner_solves_one_congruence():
 
 # W_m^2 has morphisms from W_k when k | m and gcd(m / k, k) = 1.
 PARTNER_EDGE_FORMS = {
-    # the largest such m inside the int64 gate (m <= 2**20) at k = 4
+    # moduli next to 2**20, well inside the int64 gate
     "W_{4*(2^18-1)}^2 k=4": (4 * ((1 << 18) - 1), 4),
-    # the smallest one past it
     "W_{4*(2^18+1)}^2 k=4": (4 * ((1 << 18) + 1), 4),
-    "W_{2p}^2 k=2": (2 * 1048583, 2),
+    # the largest such m inside the int64 gate (4 m^2 < 2**63) at k = 4
+    "W_{4*379625061}^2 k=4": (4 * 379625061, 4),
+    # the smallest one past it
+    "W_{4*379625063}^2 k=4": (4 * 379625063, 4),
+    "W_{2p}^2 k=2": (2 * P, 2),
     # coefficients past 2**64 on Python-int arrays (3**41 > 2**64)
     "W_{4*3^41}^2 k=4": (4 * 3**41, 4),
 }
@@ -841,7 +904,7 @@ PARTNER_EDGE_FORMS = {
 def test_partner_counting_at_int64_gate_edges(case):
     modulus, k = PARTNER_EDGE_FORMS[case]
     plain = w_power(modulus, 2)
-    assert (plain._np_numerators is None) == (modulus > 1 << 20)
+    assert (plain._np_numerators is None) == (not fits_gate(plain)) == (modulus > 4 * 379625061)
     scrambled, _ = scramble_form(plain, random.Random(modulus))
     for form in (plain, scrambled):
         assert check_every_row_against_scan(form, k, random.Random(k)) > 0
@@ -860,8 +923,8 @@ SPAN_FORMS = {
     "W_3^2": (lambda: w_power(3, 2), 3),
     "W_3+W_9": (lambda: direct_sum(standard_w(3), standard_w(9)), 3),
     "W_2^2": (lambda: w_power(2, 2), 2),
-    # D = 2 * 1048583 is past the int64 gate: the exact path
-    "W_2p^2": (lambda: w_power(2 * 1048583, 2), 2),
+    # D = 2 * P is past the int64 gate: the exact path
+    "W_2p^2": (lambda: w_power(2 * P, 2), 2),
 }
 
 
@@ -870,6 +933,7 @@ SPAN_FORMS = {
 def test_image_key_is_the_image_subgroup(name, seed, data):
     make, k = SPAN_FORMS[name]
     scrambled, _ = scramble_form(make(), random.Random(seed))
+    assert (scrambled._np_numerators is None) == (name == "W_2p^2")
     total = count_w_morphisms(scrambled, k)
     for _ in range(3):
         f = w_morphism_by_index(scrambled, k, data.draw(st.integers(0, total - 1)))
@@ -891,7 +955,6 @@ def test_image_key_of_identity_morphism():
 # ---------------------------------------------------------------------------
 
 
-P = 1048583  # D = 2 * P is past the int64 gate: the exact path
 W9_W3 = direct_sum(standard_w(9), standard_w(3))
 
 
@@ -913,6 +976,7 @@ def random_subform(rng, kind):
         return Subform(M, Subgroup(M.group, gens))
     if kind == "exact":
         M, _ = scramble_form(w_power(2 * P, 2), rng)
+        assert M._np_numerators is None
         return Subform(M, Subgroup(M.group, [M.group.generator(0).scale(P), M.group.generator(1)]))
     # non-minimal D: 3 M of W_9 (+) W_3 is the zero form (D = 1), and
     # 3 e_0 with e_1, e_2, e_3 restricts to values in (1/3)Z (D = 3)

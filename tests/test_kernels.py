@@ -5,6 +5,8 @@ Each kernel runs on int64 arrays inside the ``fits_int64`` gate and on
 the same exact reference, including at the edge of the gate.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,8 +166,15 @@ def test_orth_adjacency_matches_four_products(cells, instance):
 
 
 def test_fits_int64_bounds():
+    """The gate is rank * dmax * D < 2**63: D up to about 2**30.5 at rank
+    4 when dmax = D, and never an order of 2**63, which is no int64."""
     assert fits_int64(9, 9, 8)
-    assert not fits_int64(2**40, 2**40, 64)
+    assert fits_int64(1518500249, 1518500249, 4)
+    assert not fits_int64(1518500251, 1518500251, 4)
+    assert fits_int64(1, (1 << 63) - 1, 1)
+    assert not fits_int64(1, 1 << 63, 1)
+    assert not fits_int64(1 << 31, 1 << 31, 2)
+    assert fits_int64(1, 1, 0)  # the rank-0 form
 
 
 def check_kernels(X, Y, N, D, cell, zero_rows):
@@ -199,25 +208,32 @@ def near(D, shape):
     ).map(lambda v: np.array(v, dtype=object).reshape(shape))
 
 
+def largest_odd_order(D, r):
+    """The largest odd dmax with r * dmax * D < 2**63."""
+    dmax = ((1 << 63) - 1) // (r * D)
+    return dmax - 1 + dmax % 2
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_kernels_at_int64_gate_edge(data):
-    """Moduli next to 2**20 (odd ones included), rank up to 12, entries next
-    to D: the int64 and the object copies of the same arrays agree with the
-    reference.  One modulus above the gate runs on the object path only."""
-    D = data.draw(st.one_of(st.just((1 << 20) - 1), st.integers((1 << 20) - 64, 1 << 20)))
+    """Odd D and odd largest order dmax with r * dmax * D just under 2**63,
+    rank 1 to 12, coefficients next to dmax and numerators next to D: the
+    gate gives int64, and the int64 and object copies agree with the
+    Python-int reference.  With the next odd order, r * dmax * D is past
+    2**63: the gate gives dtype=object, and that copy agrees too."""
     r = data.draw(st.integers(1, 12))
+    square = math.isqrt(((1 << 63) - 1) // r)  # r * D * D < 2**63
+    odd = st.integers(1, 1 << 40).map(lambda n: 2 * n + 1)
+    D = data.draw(st.one_of(st.just(square - 1 + square % 2), odd))
+    dmax = largest_odd_order(D, r)
     m = data.draw(st.integers(1, 8))
-    assert fits_int64(D, D, r)
-    X, Y = data.draw(near(D, (m, r))), data.draw(near(D, (m, r)))
-    N = data.draw(near(D, (r, r)))
     cell = (data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1)))
     zero_rows = data.draw(st.lists(st.integers(0, m - 1), max_size=m))
-    check_kernels(X.astype(np.int64), Y.astype(np.int64), N.astype(np.int64), D, cell, zero_rows)
-    check_kernels(X, Y, N, D, cell, zero_rows)
-
-    big = data.draw(st.integers((1 << 20) + 1, 1 << 80))
-    assert not fits_int64(big, big, r)
-    X, Y = data.draw(near(big, (m, r))), data.draw(near(big, (m, r)))
-    N = data.draw(near(big, (r, r)))
-    check_kernels(X, Y, N, big, cell, zero_rows)
+    N = data.draw(near(D, (r, r)))
+    for order, want in ((dmax, np.int64), (dmax + 2, object)):
+        assert (np.int64 if fits_int64(D, order, r) else object) is want
+        X, Y = data.draw(near(order, (m, r))), data.draw(near(order, (m, r)))
+        check_kernels(X.astype(want), Y.astype(want), N.astype(want), D, cell, zero_rows)
+        if want is np.int64:
+            check_kernels(X, Y, N, D, cell, zero_rows)

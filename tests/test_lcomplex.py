@@ -36,6 +36,9 @@ from linkforms.corpus import scramble_form
 from linkforms import lcomplex
 from linkforms.lcomplex import _ambient_link_keys, _bfs_path, _orthogonal_rows
 
+# D = 2 * P is past the int64 gate already at rank 2 (2 * D**2 > 2**63).
+P = (1 << 31) - 1
+
 
 def w_power(k, g):
     form = standard_w(k)
@@ -201,6 +204,20 @@ def test_vertex_index_round_trip(L2):
         L2.index_of(w_morphism(flipped, 3, e(0), e(1)))
 
 
+@pytest.mark.parametrize("materialize_cap", [None, 10])
+def test_index_of_checks_the_range(materialize_cap, monkeypatch):
+    """An integer index is a vertex only inside [0, vertex_count), as for
+    ``vertex``; a lazy complex answers without building a morphism."""
+    kwargs = {} if materialize_cap is None else {"materialize_cap": materialize_cap}
+    L = build_l_complex(standard_w(3), 3, **kwargs)
+    assert L.vertex_count == 24 and L.materialized == (materialize_cap is None)
+    monkeypatch.setattr(lcomplex, "w_morphism_by_index", None)
+    assert [L.index_of(i) for i in (0, 23, np.int64(5))] == [0, 23, 5]
+    for bad in (10**9, -5, 24, np.int64(-1)):
+        with pytest.raises(InputError, match="out of range"):
+            L.index_of(bad)
+
+
 def _foreign_vertices(form, k):
     """Block morphisms that are not vertices of the complex of ``form`` at
     k: one into 2b on the same group, one into W_k^5, and one into
@@ -253,11 +270,12 @@ def test_orthogonality_needs_one_target():
 
 
 def test_complex_outside_int64_gate():
-    """W_{2p}^2 at k = 2, p = 1048583: D = 2p is past the int64 gate, so the
+    """W_{2p}^2 at k = 2, p = 2^31 - 1: D = 2p is past the int64 gate, so the
     adjacency kernel runs on Python ints; it must equal pairwise exact
     orthogonality."""
-    form = w_power(2 * 1048583, 2)
-    assert not fits_int64(form.denominator, 2 * 1048583, 4)
+    form = w_power(2 * P, 2)
+    assert not fits_int64(form.denominator, 2 * P, 4)
+    assert form._np_numerators is None
     L = build_l_complex(form, 2)
     assert L.vertex_count == 120
     assert L.edge_count() == 360
@@ -269,10 +287,10 @@ def test_complex_outside_int64_gate():
 
 
 def test_exact_adjacency_equals_int64():
-    """The 2-torsion of W_{2p}^3, p = 1048583, is W_2^3 with every coefficient
-    scaled by p, in the same lexicographic order: the exact-path adjacency
-    must equal the int64-path adjacency of W_2^3."""
-    exact_form, int_form = w_power(2 * 1048583, 3), w_power(2, 3)
+    """The 2-torsion of W_{2p}^3, p = 2^31 - 1, is W_2^3 with every
+    coefficient scaled by p, in the same lexicographic order: the exact-path
+    adjacency must equal the int64-path adjacency of W_2^3."""
+    exact_form, int_form = w_power(2 * P, 3), w_power(2, 3)
     assert exact_form._np_numerators is None and int_form._np_numerators is not None
     exact, ints = build_l_complex(exact_form, 2), build_l_complex(int_form, 2)
     assert exact.vertex_count == ints.vertex_count == 2016
@@ -382,9 +400,9 @@ def test_link_iso_vertex_links_with_edges(L2cube):
 
 
 def test_link_iso_lazy_outside_int64_gate():
-    """The same links on W_{2p}^3 at k = 2, p = 1048583, lazily and on
+    """The same links on W_{2p}^3 at k = 2, p = 2^31 - 1, lazily and on
     Python-int arrays."""
-    form = w_power(2 * 1048583, 3)
+    form = w_power(2 * P, 3)
     assert form._np_numerators is None
     L = build_l_complex(form, 2, materialize_cap=100)
     assert not L.materialized and L.vertex_count == 2016
@@ -533,25 +551,33 @@ def test_lazy_paths_on_w3_fifth_power():
 
 
 def test_orthogonal_rows_at_int64_gate_edge():
-    """The link mask at the largest odd modulus and rank the gate admits,
-    with entries next to 2**20, against Python integers.  The unreduced
-    product x . (N img) exceeds int64 here."""
-    r, D = 64, (1 << 20) - 1
-    assert fits_int64(D, 1 << 20, r)
-    rng = np.random.default_rng(7)
-    N = rng.integers(D - 64, D, size=(r, r))
-    img = rng.integers((1 << 20) - 64, 1 << 20, size=r)
-    X = rng.integers((1 << 20) - 64, 1 << 20, size=(8, r))
-    w = [sum(int(N[a, b]) * int(img[b]) for b in range(r)) for a in range(r)]
-    t = next(a for a in range(r) if math.gcd(w[a], D) == 1)
-    for row in X[:4]:  # make these rows orthogonal to img: solve for entry t
-        rest = sum(int(row[a]) * w[a] for a in range(r) if a != t)
-        row[t] = -rest * pow(w[t], -1, D) % D
-    exact = [sum(int(x[a]) * w[a] for a in range(r)) for x in X]
-    assert max(exact) >= 1 << 63
-    want = [v % D == 0 for v in exact]
-    assert want == [True] * 4 + [False] * 4
-    assert _orthogonal_rows(X, N, D, [img]).tolist() == want
+    """The link mask of ``_ambient_link_keys`` at ranks 8 to 12, with odd D
+    next to sqrt(2**63 / r) and the largest odd order dmax the gate admits,
+    entries next to dmax and D, against Python integers: on int64 arrays,
+    and with the next odd order, past the gate, on the dtype=object arrays
+    it gets.  The unreduced product x . (N img) exceeds int64 every time."""
+    for r in (8, 10, 12):
+        D = math.isqrt(((1 << 63) - 1) // r)
+        D -= 1 - D % 2
+        dmax = ((1 << 63) - 1) // (r * D)
+        dmax -= 1 - dmax % 2
+        for order, want in ((dmax, np.int64), (dmax + 2, object)):
+            assert (np.int64 if fits_int64(D, order, r) else object) is want
+            rng = np.random.default_rng(order)
+            N = rng.integers(D - 64, D, size=(r, r))
+            img = rng.integers(order - 64, order, size=r)
+            X = rng.integers(order - 64, order, size=(8, r))
+            w = [sum(int(N[a, b]) * int(img[b]) for b in range(r)) for a in range(r)]
+            t = next(a for a in range(r) if math.gcd(w[a], D) == 1)
+            for row in X[:4]:  # make these rows orthogonal to img: solve for entry t
+                rest = sum(int(row[a]) * w[a] for a in range(r) if a != t)
+                row[t] = -rest * pow(w[t], -1, D) % D
+            exact = [sum(int(x[a]) * w[a] for a in range(r)) for x in X]
+            assert max(exact) >= 1 << 63
+            expected = [v % D == 0 for v in exact]
+            assert expected == [True] * 4 + [False] * 4
+            got = _orthogonal_rows(X.astype(want), N.astype(want), D, [img.tolist()])
+            assert got.tolist() == expected
 
 
 def test_path_needs_rank_three_hub(L2):

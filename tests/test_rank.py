@@ -262,7 +262,7 @@ def kernel_of(form, m, coeffs):
 
 
 W3_W9 = direct_sum(standard_w(3), standard_w(9))
-BIG = 2 * 1048583  # past the int64 gate: the exact pairing path
+BIG = 2 * ((1 << 31) - 1)  # past the int64 gate (2 * BIG**2 > 2**63): exact path
 
 
 @st.composite
