@@ -42,6 +42,7 @@ from linkforms.corpus import block_sum, random_scrambled_pair, scramble_form
 from linkforms.errors import CapExceeded
 from linkforms.forms import Subform
 from linkforms.lcomplex import build_l_complex
+from test_kernels import largest_odd_modulus
 
 # D = 2 * P is past the int64 gate already at rank 2 (2 * D**2 > 2**63):
 # forms over it take the exact path.
@@ -729,8 +730,7 @@ def test_row_counts_at_int64_gate_edge(r):
     arrays, the next one, past 2**63, gets dtype=object, and both agree with
     Python integers on the last 64 rows of M[3] (coefficients up to 2D/3)
     and, at rank 5 and below, on the counts of every row."""
-    square = math.isqrt(((1 << 63) - 1) // r)
-    inside = square - (square - 3) % 6
+    inside = largest_odd_modulus(r, 3)
     rows = 3**r
     for D, want in ((inside, np.int64), (inside + 6, object)):
         form = form_next_to(D, r, random.Random(D))

@@ -208,10 +208,19 @@ def near(D, shape):
     ).map(lambda v: np.array(v, dtype=object).reshape(shape))
 
 
+def largest_odd(limit, multiple=1):
+    """The largest odd multiple of ``multiple`` (itself odd) up to limit."""
+    return limit - (limit - multiple) % (2 * multiple)
+
+
 def largest_odd_order(D, r):
     """The largest odd dmax with r * dmax * D < 2**63."""
-    dmax = ((1 << 63) - 1) // (r * D)
-    return dmax - 1 + dmax % 2
+    return largest_odd(((1 << 63) - 1) // (r * D))
+
+
+def largest_odd_modulus(r, multiple=1):
+    """The largest odd multiple D of ``multiple`` with r * D * D < 2**63."""
+    return largest_odd(math.isqrt(((1 << 63) - 1) // r), multiple)
 
 
 @settings(max_examples=30, deadline=None)
@@ -221,11 +230,12 @@ def test_kernels_at_int64_gate_edge(data):
     rank 1 to 12, coefficients next to dmax and numerators next to D: the
     gate gives int64, and the int64 and object copies agree with the
     Python-int reference.  With the next odd order, r * dmax * D is past
-    2**63: the gate gives dtype=object, and that copy agrees too."""
+    2**63: the gate gives dtype=object, and that copy agrees too.  A
+    modulus past 2**63, with entries next to it, runs on the object path
+    only."""
     r = data.draw(st.integers(1, 12))
-    square = math.isqrt(((1 << 63) - 1) // r)  # r * D * D < 2**63
     odd = st.integers(1, 1 << 40).map(lambda n: 2 * n + 1)
-    D = data.draw(st.one_of(st.just(square - 1 + square % 2), odd))
+    D = data.draw(st.one_of(st.just(largest_odd_modulus(r)), odd))
     dmax = largest_odd_order(D, r)
     m = data.draw(st.integers(1, 8))
     cell = (data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1)))
@@ -237,3 +247,9 @@ def test_kernels_at_int64_gate_edge(data):
         check_kernels(X.astype(want), Y.astype(want), N.astype(want), D, cell, zero_rows)
         if want is np.int64:
             check_kernels(X, Y, N, D, cell, zero_rows)
+
+    big = data.draw(st.integers(1 << 63, 1 << 80))
+    assert not fits_int64(big, big, r)
+    X, Y = data.draw(near(big, (m, r))), data.draw(near(big, (m, r)))
+    N = data.draw(near(big, (r, r)))
+    check_kernels(X, Y, N, big, cell, zero_rows)

@@ -35,6 +35,7 @@ from linkforms._kernels import fits_int64
 from linkforms.corpus import scramble_form
 from linkforms import lcomplex
 from linkforms.lcomplex import _ambient_link_keys, _bfs_path, _orthogonal_rows
+from test_kernels import largest_odd_modulus, largest_odd_order
 
 # D = 2 * P is past the int64 gate already at rank 2 (2 * D**2 > 2**63).
 P = (1 << 31) - 1
@@ -557,10 +558,8 @@ def test_orthogonal_rows_at_int64_gate_edge():
     and with the next odd order, past the gate, on the dtype=object arrays
     it gets.  The unreduced product x . (N img) exceeds int64 every time."""
     for r in (8, 10, 12):
-        D = math.isqrt(((1 << 63) - 1) // r)
-        D -= 1 - D % 2
-        dmax = ((1 << 63) - 1) // (r * D)
-        dmax -= 1 - dmax % 2
+        D = largest_odd_modulus(r)
+        dmax = largest_odd_order(D, r)
         for order, want in ((dmax, np.int64), (dmax + 2, object)):
             assert (np.int64 if fits_int64(D, order, r) else object) is want
             rng = np.random.default_rng(order)
