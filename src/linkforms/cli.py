@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .forms import NormalForm, normal_form
-from .lcomplex import build_l_complex, find_short_path, verify_link_iso
+from .lcomplex import DEFAULT_MATERIALIZE_CAP, build_l_complex, find_short_path, verify_link_iso
 from .rank import k_rank, stable_k_rank
 from .reporting import make_report, render_text, to_json
 
@@ -135,8 +135,7 @@ def cmd_complex(args) -> tuple[dict, int]:
                 cap=args.materialize_cap,
             )
         labeled = FlagComplex(
-            [f"{list(L.vertex(i).x.coeffs)}|{list(L.vertex(i).y.coeffs)}"
-             for i in range(L.vertex_count)],
+            [f"{list(m.x.coeffs)}|{list(m.y.coeffs)}" for m in map(L.vertex, range(L.vertex_count))],
             L.flag.adj,
         )
         try:
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build or lazily serve the block complex of a form")
     p.add_argument("form_file")
     p.add_argument("k", type=int)
-    p.add_argument("--materialize-cap", type=int, default=25_000)
+    p.add_argument("--materialize-cap", type=int, default=DEFAULT_MATERIALIZE_CAP)
     p.add_argument("--materialize", action="store_true",
                    help="fail (exit 5) instead of going lazy above the cap")
     p.add_argument("--export-dot", metavar="PATH")

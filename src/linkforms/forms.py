@@ -13,14 +13,16 @@ form: int64 where rank * dmax * D < 2**63, exact Python ints elsewhere.
 Complements and splittings run exact through the Smith-normal-form
 machinery in ``linkforms.groups``; the one congruence b(x, y) = 1/k that
 enumeration, classification and automorphism extension solve is counted
-out by ``_partner``.  Classification splits a form into prime-power blocks;
-automorphism extension needs no classification, since it takes each
-further W_k block straight from the orthogonal complement of the blocks
-it has.
+out by ``_partner``; morphism i from W_k is partner i mod C of good row
+i // C, C = |M[k]|/k.  Classification splits a form into prime-power
+blocks; automorphism extension needs no classification, since it takes
+each further W_k block straight from the orthogonal complement of the
+blocks it has.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -112,7 +114,7 @@ class LinkingForm:
         self.denominator = D
         self.numerators = N
         self.name = name
-        self._w_counts_cache: dict[int, np.ndarray] = {}
+        self._good_rows_cache: dict[int, np.ndarray] = {}
 
     @cached_property
     def gram(self) -> tuple[tuple[QZValue, ...], ...]:
@@ -204,35 +206,31 @@ class LinkingForm:
         XN *= np.array([d // math.gcd(d, k) for d in self.group.orders], dtype=N.dtype)
         return np.gcd(np.gcd.reduce(XN, axis=1), self.denominator)
 
-    def _w_counts(self, k: int):
-        """cum[i] = number of solutions (x, y) of b(x, y) = 1/k with x among
-        the first i + 1 rows of ``torsion_matrix(k)``, cached per k: the one
-        table of |M[k]| entries that the form keeps.
-
-        For c = x N mod D and step_i = d_i / gcd(d_i, k), the functional
-        b(x, -) maps M[k] onto the cyclic group of order D / g,
-        g = gcd(D, c_i step_i), so row x has |M[k]| g / D solutions y when g
-        divides D / k and none otherwise.  Requires k | D.  The g of the
-        rows come in blocks of ``_kernels._BLOCK_CELLS`` cells
-        (``_row_gcds``), so no torsion matrix is built, and the enumeration
-        cap is checked before any array is allocated.
+    def _good_rows(self, k: int):
+        """Ascending int32 indices of the rows x of ``torsion_matrix(k)``
+        with a solution y of b(x, y) = 1/k, cached per k.  Requires k | D.
+        Each has |M[k]|/k: b(x, -) maps M[k] onto the cyclic group of order
+        D/G, G = gcd(D, c_j step_j) (``_row_gcds``), and
+        - k x = 0, so k b(x, y) = 0 for every y: D/k divides G;
+        - b(x, y) = 1/k is solvable only when G divides D/k, so G = D/k;
+        - then each of the k values j/k is hit by |M[k]|/k y's.
+        Written in place block by block (``_kernels._BLOCK_CELLS`` cells),
+        after the enumeration cap, which keeps indices below 2^31.
         """
-        cum = self._w_counts_cache.get(k)
-        if cum is None:
+        good = self._good_rows_cache.get(k)
+        if good is None:
             count = _checked_torsion_count(self.group, k)
-            D = self.denominator
             rows = max(1, _kernels._BLOCK_CELLS // max(self.group.rank, 1))
-            cum = np.empty(count, dtype=np.int64)
-            total = 0
+            good = np.empty(count, dtype=np.int32)
+            n = 0
             for start in range(0, count, rows):
                 g = self._row_gcds(k, start, min(start + rows, count))
-                block = cum[start:start + rows]
-                block[:] = np.where(D // k % g == 0, count // (D // g), 0)
-                np.cumsum(block, out=block)
-                block += total
-                total = int(block[-1])
-            self._w_counts_cache[k] = cum
-        return cum
+                hits = start + np.flatnonzero(g == self.denominator // k)
+                good[n:n + len(hits)] = hits
+                n += len(hits)
+            good.resize(n, refcheck=False)
+            self._good_rows_cache[k] = good
+        return good
 
     def __eq__(self, other) -> bool:
         return (
@@ -460,15 +458,14 @@ def count_w_morphisms(form: LinkingForm, k: int) -> int:
     """Number of pairs (x, y) with kx = ky = 0 and b(x, y) = 1/k.
 
     Together with strictness those conditions are exactly the morphisms
-    W_k -> form.  Counted row by row through the solvability arithmetic of
-    the single congruence b(x, y) = 1/k (``LinkingForm._w_counts``), so no
-    pair scan is needed.
+    W_k -> form.  Every torsion row with a solution has |M[k]|/k of them
+    (``LinkingForm._good_rows``), so no pair scan is needed.
     """
     if k < 2:
         raise InputError("k must be >= 2")
     if form.denominator % k != 0:  # includes rank 0, where D = 1
         return 0
-    return int(form._w_counts(k)[-1])
+    return len(form._good_rows(k)) * (form.group.torsion_count(k) // k)
 
 
 def _w_pairs(form: LinkingForm, k: int, cap: int) -> list[tuple[tuple, tuple]]:
@@ -587,25 +584,42 @@ def first_w_morphism(form: LinkingForm, k: int) -> FormMorphism | None:
 
 
 def w_morphism_by_index(form: LinkingForm, k: int, index: int) -> FormMorphism:
-    """The index-th morphism in the lexicographic enumeration.
-
-    The first call for (form, k) caches the cumulative per-row solution
-    counts on the form (``_w_counts``), 8 bytes per torsion row and no
-    torsion matrix.  A lookup finds its row index i by binary search,
-    O(log |M[k]|), reads row x off i (``_torsion_row``), and then counts
-    its partner y out with ``_partner``, with no scan of M[k].  The result
-    is still checked by ``w_morphism``'s exact pairing test.
+    """The index-th morphism in the lexicographic enumeration: partner
+    index mod C of good row index // C, C = |M[k]|/k, with the good rows
+    cached on the form (``LinkingForm._good_rows``, 4 bytes each).  x is
+    read off its row index (``_torsion_row``) and y counted out by
+    ``_partner``: no search, no scan of M[k]; ``w_morphism`` checks them.
     """
     total = count_w_morphisms(form, k)
     if not 0 <= index < total:
         raise InputError(f"index {index} out of range ({total} morphisms)")
-    cum = form._w_counts(k)
-    i = int(np.searchsorted(cum, index, side="right"))
+    row, offset = divmod(index, form.group.torsion_count(k) // k)
+    i = int(form._good_rows(k)[row])
     x = _torsion_row(form.group, [math.gcd(d, k) for d in form.group.orders], i)
-    y = _partner(form, k, x, index - (int(cum[i - 1]) if i else 0))
+    y = _partner(form, k, x, offset)
     if y is None:
         raise InvariantError(f"row {i} of index {index} has no solution")
     return w_morphism(form, k, x, y)
+
+
+def w_morphism_index(form: LinkingForm, k: int, f: FormMorphism) -> int:
+    """Inverse of ``w_morphism_by_index`` on f = (x, y): x's rank among
+    the good rows times C, plus y's offset among x's partners, which ascend
+    with it, found by bisection over ``_partner``.  InvariantError when x
+    has no partner or y is not one, which a morphism from W_k rules out.
+    """
+    i = 0
+    for c, d in zip(f.x.coeffs, form.group.orders):
+        i = i * math.gcd(d, k) + c * math.gcd(d, k) // d
+    good = form._good_rows(k)
+    row = int(np.searchsorted(good, i))
+    if row == len(good) or good[row] != i:
+        raise InvariantError(f"row {f.x.coeffs} has no partner")
+    C = form.group.torsion_count(k) // k
+    offset = bisect.bisect_left(range(C), f.y.coeffs, key=lambda o: _partner(form, k, f.x, o).coeffs)
+    if offset == C or _partner(form, k, f.x, offset) != f.y:
+        raise InvariantError(f"y = {f.y.coeffs} is not a partner of x = {f.x.coeffs}")
+    return row * C + offset
 
 
 # ---------------------------------------------------------------------------

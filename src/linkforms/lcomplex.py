@@ -1,9 +1,11 @@
 """The orthogonality complex of block morphisms into a linking form.
 
-Vertices are the morphisms W_k -> M in lexicographic enumeration order;
-a set of vertices spans a simplex when the images are pairwise orthogonal
-with trivial pairwise intersection.  The complex is flag, so the
-1-skeleton determines everything.
+Vertices are the morphisms W_k -> M in lexicographic enumeration order,
+numbered alike on lazy and materialized complexes (``w_morphism_by_index``,
+inverted by ``w_morphism_index``), so neither stores a vertex.  A set of
+vertices spans a simplex when the images are pairwise orthogonal with
+trivial pairwise intersection.  The complex is flag, so the 1-skeleton
+determines everything.
 
 Orthogonality implies the trivial intersection.  A vertex f is a
 FormMorphism from the standard W_k, whose construction checked
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +54,8 @@ from .forms import (
     morphisms_from_w,
     orthogonal_complement,
     standard_w,
-    w_morphism,
     w_morphism_by_index,
+    w_morphism_index,
 )
 from .groups import Subgroup
 from .rank import k_rank
@@ -111,17 +114,12 @@ def w_power_vertex_count(k: int, g: int) -> int:
 class LComplex:
     """Handle on the block-morphism complex of ``form`` at level ``k``."""
 
-    def __init__(self, form: LinkingForm, k: int, keys=None, flag=None):
+    def __init__(self, form: LinkingForm, k: int, flag=None):
         self.form = form
         self.k = k
         self.vertex_count = count_w_morphisms(form, k)
-        # keys of the materialized vertices; each FormMorphism is built, and
-        # checked, on its first access
-        self._keys = keys
-        self._vertices: dict[int, FormMorphism] = {}
         self.flag = flag
         self._f0_cache = None
-        self._key_index = None
 
     @property
     def materialized(self) -> bool:
@@ -132,30 +130,18 @@ class LComplex:
             if i.target != self.form or i.source != standard_w(self.k):
                 raise InputError("morphism is not a vertex of this complex")
             return i
-        i = self.index_of(i)
-        if self._keys is None:
-            return w_morphism_by_index(self.form, self.k, i)
-        f = self._vertices.get(i)
-        if f is None:
-            x, y = map(self.form.group.element, self._keys[i])
-            f = self._vertices[i] = w_morphism(self.form, self.k, x, y)
-        return f
+        return w_morphism_by_index(self.form, self.k, self.index_of(i))
 
     def index_of(self, f) -> int:
-        if not isinstance(f, FormMorphism):
-            i = int(f)
-            if not 0 <= i < self.vertex_count:
-                raise InputError(f"vertex index {i} out of range")
-            return i
-        f = self.vertex(f)
-        if self._keys is None:
-            raise CapExceeded("index lookup requires materialization")
-        if self._key_index is None:
-            self._key_index = {key: i for i, key in enumerate(self._keys)}
+        if isinstance(f, FormMorphism):
+            return w_morphism_index(self.form, self.k, self.vertex(f))
         try:
-            return self._key_index[f.key()]
-        except KeyError:
-            raise InputError("morphism is not a vertex of this complex") from None
+            i = operator.index(f)
+        except TypeError:
+            raise InputError(f"vertex index {f!r} is not an integer") from None
+        if not 0 <= i < self.vertex_count:
+            raise InputError(f"vertex index {i} out of range")
+        return i
 
     def _materialized_flag(self, query: str) -> FlagComplex:
         if not self.materialized:
@@ -198,7 +184,7 @@ def build_l_complex(
     keys = _w_pairs(form, k, cap=max(count, 1))
     n = len(keys)
     if n == 0:
-        return LComplex(form, k, keys=[], flag=FlagComplex([], np.zeros((0, 0), dtype=bool)))
+        return LComplex(form, k, flag=FlagComplex([], np.zeros((0, 0), dtype=bool)))
     adj = _orthogonality(form, k, keys)
     np.fill_diagonal(adj, False)
     edges = int(np.count_nonzero(adj)) // 2  # adj is symmetric
@@ -207,7 +193,7 @@ def build_l_complex(
             f"{edges} edges exceed the edge cap", needed=edges, cap=DEFAULT_EDGE_CAP
         )
     flag = FlagComplex(tuple(range(n)), adj)
-    return LComplex(form, k, keys=keys, flag=flag)
+    return LComplex(form, k, flag=flag)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -549,14 +550,28 @@ def brute_lex_keys(form, k):
     return [(rows[i], rows[j]) for i, j in np.argwhere(table == D // k).tolist()]
 
 
+def first_lex_key(form, k):
+    """The first (x, y) key with b(x, y) = 1/k: the pair table scanned one
+    row x at a time, stopping at the first row with a hit (exact past the
+    int64 gate); None when k does not divide D or no row has one."""
+    D = form.denominator
+    if D % k:
+        return None
+    X, N = form.torsion_matrix(k), form._numerator_array
+    for x in X:
+        hits = np.flatnonzero(X @ ((x @ N) % D) % D == D // k)
+        if len(hits):
+            return tuple(x.tolist()), tuple(X[hits[0]].tolist())
+    return None
+
+
 def check_first_pair(form, levels=(2, 3, 4, 6, 9, 12)):
-    """first_w_morphism against the first pair of the full table scan at
-    each level; returns how many levels have a morphism."""
+    """first_w_morphism against the first pair of the row-by-row table scan
+    at each level; returns how many levels have a morphism."""
     found = 0
     for k in levels:
         f = first_w_morphism(form, k)
-        want = next(iter(brute_lex_keys(form, k)), None)
-        assert (f.key() if f else None) == want
+        assert (f.key() if f else None) == first_lex_key(form, k)
         found += f is not None
     return found
 
@@ -656,35 +671,37 @@ def torsion_sized_arrays(form, k):
 def test_first_w_morphism_caches_no_torsion_table(modulus, g, k):
     """The row walk builds no torsion array, inside the int64 gate and on
     the exact path, so a short-lived form keeps no table, not even the
-    per-row counts."""
+    good rows."""
     form = w_power(modulus, g)
     assert (form._np_numerators is None) == (modulus == 2 * P)
     assert first_w_morphism(form, k) is not None
     assert torsion_sized_arrays(form, k) == []
-    assert form._w_counts_cache == {}
+    assert form._good_rows_cache == {}
 
 
 @pytest.mark.parametrize("modulus, g, k", [(3, 4, 3), (2 * P, 2, 2)], ids=["W_3^4", "W_2p^2"])
-def test_lookups_keep_only_the_counts(modulus, g, k):
-    """After index lookups the only table of |M[k]| entries on the form is
-    the per-row counts; no torsion matrix is cached."""
+def test_lookups_keep_only_the_good_rows(modulus, g, k):
+    """After index lookups the only table on the form is the int32 good-row
+    table, one entry per row with partners; no torsion matrix is cached."""
     form = w_power(modulus, g)
     assert (form._np_numerators is None) == (modulus == 2 * P)
     total = count_w_morphisms(form, k)
     for index in (0, total // 3, total - 1):
         w_morphism_by_index(form, k, index)
-    assert torsion_sized_arrays(form, k) == [f"_w_counts_cache[{k}]"]
+    assert torsion_sized_arrays(form, k) == []
+    assert list(form._good_rows_cache) == [k]
+    assert form._good_rows_cache[k].dtype == np.int32
+    assert len(form._good_rows_cache[k]) == form.group.torsion_count(k) - 1
 
 
 def full_matrix_counts(form, k):
-    """Oracle for ``_w_counts``: the per-row solution counts from the whole
-    torsion matrix at once, summed by ``np.cumsum``."""
+    """Oracle for ``_good_rows``: the per-row solution counts from the whole
+    torsion matrix at once."""
     X, N = form.torsion_matrix(k), form._numerator_array
     D = form.denominator
     steps = np.array([d // math.gcd(d, k) for d in form.group.orders], dtype=N.dtype)
     g = np.gcd(np.gcd.reduce((X @ N) % D * steps, axis=1), D)
-    counts = np.where(D // k % g == 0, form.group.torsion_count(k) // (D // g), 0)
-    return np.cumsum(counts, dtype=np.int64)
+    return np.where(D // k % g == 0, form.group.torsion_count(k) // (D // g), 0)
 
 
 # (blocks, k): composite k, on int64 forms and on exact forms past the gate
@@ -708,9 +725,11 @@ def test_blockwise_counts_match_full_matrix(case, seed, data):
     B = data.draw(st.sampled_from([rows - 1, rows, rows + 1, max(1, rows // 3), 1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forms._kernels, "_BLOCK_CELLS", max(B, 1) * form.group.rank)
-        got = form._w_counts(k)
-    assert got.dtype == np.int64
-    assert got.tolist() == full_matrix_counts(form, k).tolist()
+        got = form._good_rows(k)
+    assert got.dtype == np.int32
+    counts, C = full_matrix_counts(form, k), rows // k
+    assert set(counts.tolist()) <= {0, C}
+    assert got.tolist() == np.flatnonzero(counts == C).tolist()
 
 
 def form_next_to(D, r, rng):
@@ -725,11 +744,11 @@ def form_next_to(D, r, rng):
 
 @pytest.mark.parametrize("r", [2, 5, 12])
 def test_row_counts_at_int64_gate_edge(r):
-    """``_row_gcds`` and ``_w_counts`` at k = 3 on (Z/D)^r, numerators next
+    """``_row_gcds`` and ``_good_rows`` at k = 3 on (Z/D)^r, numerators next
     to D: D the largest odd multiple of 3 with r * D * D < 2**63 gets int64
     arrays, the next one, past 2**63, gets dtype=object, and both agree with
     Python integers on the last 64 rows of M[3] (coefficients up to 2D/3)
-    and, at rank 5 and below, on the counts of every row."""
+    and, at rank 5 and below, on the good rows."""
     inside = largest_odd_modulus(r, 3)
     rows = 3**r
     for D, want in ((inside, np.int64), (inside + 6, object)):
@@ -747,10 +766,11 @@ def test_row_counts_at_int64_gate_edge(r):
         assert form._row_gcds(3, start, rows).tolist() == [g_of(i) for i in range(start, rows)]
         if r <= 5:
             counts = [rows * g // D if D // 3 % g == 0 else 0 for g in map(g_of, range(rows))]
-            assert form._w_counts(3).tolist() == list(itertools.accumulate(counts))
+            assert set(counts) <= {0, rows // 3}
+            assert form._good_rows(3).tolist() == [i for i, c in enumerate(counts) if c]
 
 
-def test_w_counts_refused_before_any_allocation():
+def test_good_rows_refused_before_any_allocation():
     """W_3^9 at k = 3 has 3^18 torsion rows, past the enumeration cap: the
     lazy build refuses at once with the row count, allocating nothing."""
     tracemalloc.start()
@@ -767,7 +787,7 @@ def test_w_counts_refused_before_any_allocation():
 
 def test_lazy_w_3_6_memory():
     """The lazy W_3^6 complex (3^12 torsion rows) and 10 lookups stay under
-    16 MB of traced allocations: 4.25 MB of counts plus fixed-size blocks.
+    16 MB of traced allocations: 2.1 MB of good rows plus fixed-size blocks.
     A cached torsion matrix with its products took about 150 MB."""
     tracemalloc.start()
     L = build_l_complex(w_power(3, 6), 3)
@@ -805,28 +825,26 @@ def test_indexed_enumeration_property(blocks, seed, rnd):
 
 
 def scanned_partner_lookup(form, k, index):
-    """Oracle for ``w_morphism_by_index``: the same binary search for the
-    row x, then a scan of all of M[k] for the partners y of that row."""
+    """Oracle for ``w_morphism_by_index``: the same good row x, then a scan
+    of all of M[k] for the partners y of that row."""
     X, N = form.torsion_matrix(k), form._numerator_array
-    cum = form._w_counts(k)
+    row, offset = divmod(index, len(X) // k)
+    i = int(form._good_rows(k)[row])
     D = form.denominator
-    i = int(np.searchsorted(cum, index, side="right"))
-    seen = int(cum[i - 1]) if i else 0
     hits = np.flatnonzero((X @ ((X[i] @ N) % D)) % D == D // k)
-    return tuple(X[i].tolist()), tuple(X[hits[index - seen]].tolist())
+    assert len(hits) == len(X) // k
+    return tuple(X[i].tolist()), tuple(X[hits[offset]].tolist())
 
 
 def check_every_row_against_scan(form, k, rnd):
     """For each torsion row with partners, its first and last partner and
     one random one are looked up and compared with the scanning oracle.
     Returns the number of morphisms."""
-    cum = [0] + form._w_counts(k).tolist()
-    total = cum[-1]
+    C = form.group.torsion_count(k) // k
+    total = C * len(form._good_rows(k))
     assert total == count_w_morphisms(form, k)
-    for seen, stop in zip(cum, cum[1:]):
-        if stop == seen:
-            continue
-        for index in {seen, stop - 1, rnd.randrange(seen, stop)}:
+    for seen in range(0, total, C):
+        for index in {seen, seen + C - 1, rnd.randrange(seen, seen + C)}:
             got = w_morphism_by_index(form, k, index)
             assert got.key() == scanned_partner_lookup(form, k, index)
     with pytest.raises(InputError):
@@ -851,20 +869,27 @@ def test_partner_counting_matches_scan(blocks, seed, rnd):
 
 
 def test_partner_counting_refuses_counts_it_cannot_meet():
-    """Row counts that overstate a row's partners (a corrupted cache) make
-    the digit counting raise InvariantError instead of returning a vertex:
-    row 0 (x = 0) has no partner at all, row 1 has 27 and is asked for its
-    28th."""
+    """A corrupted good-row table, or a pair the table cannot hold, makes
+    the digit counting and its inverse raise InvariantError instead of
+    answering: row 0 (x = 0) has no partner at all, and planted as good it
+    answers index 0; row 1 has 27 partners and is asked for its 28th; with
+    row 1 dropped, the inverse finds no table entry for the vertex on row 1;
+    and y = 0 is no partner of row 1."""
     form = w_power(3, 2)
-    cum = form._w_counts(3)
-    assert cum[:2].tolist() == [0, 27]
-    bumped = cum + 1
-    form._w_counts_cache[3] = bumped
+    good = form._good_rows(3)
+    assert good[:2].tolist() == [1, 2]
+    first = w_morphism_by_index(form, 3, 0)
+    with pytest.raises(InvariantError, match="exceeds"):
+        forms._partner(form, 3, first.x, 27)
+    not_a_vertex = SimpleNamespace(x=first.x, y=form.group.element((0,) * 4))
+    with pytest.raises(InvariantError, match="not a partner"):
+        forms.w_morphism_index(form, 3, not_a_vertex)
+    form._good_rows_cache[3] = np.concatenate([[0], good]).astype(np.int32)
     with pytest.raises(InvariantError, match="no solution"):
         w_morphism_by_index(form, 3, 0)
-    bumped[0] = 0
-    with pytest.raises(InvariantError, match="exceeds"):
-        w_morphism_by_index(form, 3, 27)
+    form._good_rows_cache[3] = good[1:]
+    with pytest.raises(InvariantError, match="no partner"):
+        forms.w_morphism_index(form, 3, first)
 
 
 def test_partner_solves_one_congruence():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,11 +7,13 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from linkforms import (
     CapExceeded,
     FinAbGroup,
     FormMorphism,
+    GroupHom,
     InputError,
     LinkingForm,
     QZValue,
@@ -24,6 +27,7 @@ from linkforms import (
     first_w_morphism,
     identity_morphism,
     images_orthogonal,
+    kernel_form,
     stable_k_rank,
     standard_w,
     transitivity_witness,
@@ -33,6 +37,7 @@ from linkforms import (
 )
 from linkforms._kernels import fits_int64
 from linkforms.corpus import scramble_form
+from linkforms.forms import _w_pairs
 from linkforms import lcomplex
 from linkforms.lcomplex import _ambient_link_keys, _bfs_path, _orthogonal_rows
 from test_kernels import largest_odd_modulus, largest_odd_order
@@ -137,8 +142,8 @@ def test_adjacency_predicates(L2):
 
 def _materialized_edges(form, k):
     L = build_l_complex(form, k)
-    edges = np.argwhere(np.triu(L.flag.adj, 1))
-    return [(L.vertex(int(i)), L.vertex(int(j))) for i, j in edges]
+    vertices = [L.vertex(i) for i in range(L.vertex_count)]
+    return [(vertices[i], vertices[j]) for i, j in np.argwhere(np.triu(L.flag.adj, 1)).tolist()]
 
 
 def _lazy_path_edges(g):
@@ -186,7 +191,8 @@ def test_vertex_index_round_trip(L2):
     for i in (0, 17, 2159):
         m = L2.vertex(i)
         assert L2.index_of(m) == i
-    assert L2.vertex(L2.vertex(5)) is L2.vertex(5)
+    m = L2.vertex(5)
+    assert L2.vertex(m) is m
     with pytest.raises(InputError):
         L2.vertex(2160)
     with pytest.raises(InputError):
@@ -217,6 +223,79 @@ def test_index_of_checks_the_range(materialize_cap, monkeypatch):
     for bad in (10**9, -5, 24, np.int64(-1)):
         with pytest.raises(InputError, match="out of range"):
             L.index_of(bad)
+    for bad in (2.7, "5", np.float64(3.0)):
+        for query in (L.index_of, L.vertex):
+            with pytest.raises(InputError, match="not an integer"):
+                query(bad)
+
+
+@pytest.mark.parametrize("materialize_cap", [None, 100], ids=["materialized", "lazy"])
+def test_every_vertex_keeps_its_number(materialize_cap):
+    """On L(W_3^2) at k = 3, materialized and lazy, vertex i is the i-th
+    pair of the scan that numbers the adjacency, and ``index_of`` inverts
+    ``vertex`` on every index."""
+    kwargs = {} if materialize_cap is None else {"materialize_cap": materialize_cap}
+    L = build_l_complex(w_power(3, 2), 3, **kwargs)
+    assert L.materialized == (materialize_cap is None)
+    for i, key in enumerate(_w_pairs(L.form, 3, cap=2160)):
+        m = L.vertex(i)
+        assert m.key() == key
+        assert L.index_of(m) == i
+
+
+def _singular_restriction():
+    """W_3^2 restricted to the kernel of a map onto Z/3: a singular form."""
+    M = w_power(3, 2)
+    C = FinAbGroup.of(3)
+    phi = GroupHom(M.group, C, [C.element((c,)) for c in (1, 0, 2, 1)])
+    return kernel_form(M, phi).form
+
+
+ROUND_TRIP_CASES = {
+    "W_3^4 k=3": (lambda: w_power(3, 4), 3),
+    "W_2p^2 k=2": (lambda: w_power(2 * P, 2), 2),
+    "W_6^2 k=2": (lambda: scramble_form(w_power(6, 2), random.Random(6))[0], 2),
+    "W_6^2 k=3": (lambda: scramble_form(w_power(6, 2), random.Random(6))[0], 3),
+    "W_6^2 k=6": (lambda: scramble_form(w_power(6, 2), random.Random(6))[0], 6),
+    "ker W_3^2 k=3": (_singular_restriction, 3),
+}
+
+
+@functools.cache
+def _round_trip_complex(case):
+    make, k = ROUND_TRIP_CASES[case]
+    L = build_l_complex(make(), k)
+    return L, L.form.torsion_matrix(k)
+
+
+def test_round_trip_cases_cover_both_flavours_and_paths():
+    """The round-trip cases hold lazy and materialized complexes, an exact
+    (past the int64 gate) form and a singular one."""
+    complexes = [_round_trip_complex(case)[0] for case in ROUND_TRIP_CASES]
+    assert {L.materialized for L in complexes} == {True, False}
+    assert any(L.form._np_numerators is None for L in complexes)
+    assert not _round_trip_complex("ker W_3^2 k=3")[0].form.is_nonsingular()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ROUND_TRIP_CASES)), st.data())
+def test_index_round_trip(case, data):
+    """``index_of(vertex(i)) == i`` on a drawn index, and conversely
+    ``vertex(index_of(f)) == f`` for a vertex f built from a pair found by
+    scanning M[k]: its offset is y's place among the partners of x."""
+    L, X = _round_trip_complex(case)
+    i = data.draw(st.integers(0, L.vertex_count - 1))
+    assert L.index_of(L.vertex(i)) == i
+    D, N = L.form.denominator, L.form._numerator_array
+    x = data.draw(st.integers(0, len(X) - 1))
+    partners = np.flatnonzero(X @ ((X[x] @ N) % D) % D == D // L.k)
+    assume(len(partners))
+    offset = data.draw(st.integers(0, len(partners) - 1))
+    element = L.form.group.element
+    f = w_morphism(L.form, L.k, element(X[x].tolist()), element(X[partners[offset]].tolist()))
+    j = L.index_of(f)
+    assert j % len(partners) == offset
+    assert L.vertex(j) == f
 
 
 def _foreign_vertices(form, k):
@@ -324,8 +403,7 @@ def test_lazy_below_forced_cap():
         L.edge_count()
     with pytest.raises(CapExceeded):
         L.components()
-    with pytest.raises(CapExceeded):
-        L.index_of(m)
+    assert L.index_of(m) == 0
 
 
 def test_force_materialize_over_cap():
