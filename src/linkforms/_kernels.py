@@ -27,7 +27,7 @@ USING_NUMBA = False
 
 # Cells (rows x columns) of one block of a pairing table or adjacency;
 # bounds the transient memory of the pair searches, the orthogonality
-# adjacency and the flag-complex symmetry check.
+# adjacency, and the flag-complex symmetry check and bit packing.
 _BLOCK_CELLS = 1 << 18
 
 

@@ -5,7 +5,9 @@ Two complex flavors share one protocol: flag complexes (simplices = cliques
 of a graph, the case arising from orthogonality of block morphisms) and
 general complexes given by maximal faces (used for fixtures like spheres
 and the 6-vertex projective plane, which are not flag).  Both list their
-faces level by level, ``face_levels()``, under one simplex budget.
+faces level by level, ``face_levels()``, under one simplex budget, and
+give one neighbour bitset per vertex, ``_neighbour_bits()``, which
+components close and the flag face walk intersects.
 
 "n-connected" here always means the homological proxy: nonempty with
 H~_i = 0 for i <= n (degree 0 checked exactly via graph connectivity, so
@@ -48,7 +50,8 @@ def _within_budget(count: int, dim: int | None = None) -> int:
 
 
 def breadth_first(start, neighbours, goal=None) -> dict:
-    """Parent map of a breadth-first search from ``start``.
+    """Parent map of a breadth-first search from ``start``, for shortest
+    paths and orbits (components close bitsets instead).
 
     Each reached vertex maps to the vertex it was first reached from
     (``start`` maps to None); vertices are expanded in discovery order and
@@ -66,6 +69,14 @@ def breadth_first(start, neighbours, goal=None) -> dict:
                     return parent
                 frontier.append(v)
     return parent
+
+
+def _set_bits(b: int):
+    """The indices of the set bits of ``b >= 0``, ascending."""
+    while b:
+        low = b & -b
+        yield low.bit_length() - 1
+        b ^= low
 
 
 class _Complex:
@@ -86,27 +97,36 @@ class _Complex:
     def n_vertices(self) -> int:
         return len(self.labels)
 
-    def _neighbours(self):
-        """Function from a vertex index to the indices of its neighbours."""
+    def _neighbour_bits(self) -> list[int]:
+        """Per vertex index i, an int with bit j set when j is adjacent."""
         raise NotImplementedError
 
     def edges(self) -> list[tuple]:
         """The 1-simplices as label pairs, lexicographic."""
-        neighbours, labels = self._neighbours(), self.labels
-        return [(labels[i], labels[j]) for i in range(len(labels))
-                for j in sorted(neighbours(i)) if j > i]
+        labels = self.labels
+        return [(labels[i], labels[j]) for i, row in enumerate(self._neighbour_bits())
+                for j in _set_bits(row >> i + 1 << i + 1)]
 
     def components(self) -> list[set]:
         """Vertex sets of the connected components, in order of their first
-        vertex."""
-        neighbours = self._neighbours()
-        seen: set[int] = set()
+        vertex.  Each grows from its first vertex: the next frontier is the
+        OR of the frontier's neighbour bitsets less what it has reached, so
+        a vertex costs one OR of V bits and no edge costs a Python step."""
+        bits, labels = self._neighbour_bits(), self.labels
+        unseen = (1 << len(bits)) - 1
         out = []
-        for start in range(self.n_vertices):
-            if start not in seen:
-                comp = breadth_first(start, neighbours)
-                seen.update(comp)
-                out.append({self.labels[i] for i in comp})
+        while unseen:
+            reached = frontier = unseen & -unseen
+            comp = set()
+            while frontier:
+                grown = 0
+                for i in _set_bits(frontier):
+                    comp.add(labels[i])
+                    grown |= bits[i]
+                frontier = grown & ~reached
+                reached |= frontier
+            unseen &= ~reached
+            out.append(comp)
         return out
 
     def is_connected(self) -> bool:
@@ -173,6 +193,13 @@ class FlagComplex(_Complex):
         adj = self.adj
         return lambda i: np.flatnonzero(adj[i]).tolist()
 
+    def _neighbour_bits(self) -> list[int]:
+        """The rows of ``adj`` packed a block of rows at a time."""
+        n, adj = self.n_vertices, self.adj
+        rows = max(1, _kernels._BLOCK_CELLS // max(n, 1))
+        return [int.from_bytes(row.tobytes(), "little") for start in range(0, n, rows)
+                for row in np.packbits(adj[start:start + rows], axis=1, bitorder="little")]
+
     def face_levels(self):
         """The cliques of each size, lexicographic, one list per dimension.
 
@@ -183,10 +210,8 @@ class FlagComplex(_Complex):
         budget is checked as it grows.
         """
         labels = self.labels
-        bits = np.packbits(self.adj, axis=1, bitorder="little")
         # later[i]: the neighbours of vertex i that come after it
-        later = [int.from_bytes(row.tobytes(), "little") >> i + 1 << i + 1
-                 for i, row in enumerate(bits)]
+        later = [row >> i + 1 << i + 1 for i, row in enumerate(self._neighbour_bits())]
         level = [((lab,), later[i]) for i, lab in enumerate(labels)]
         used = _within_budget(len(level), 0)
         d = 0
@@ -276,14 +301,14 @@ class GeneralComplex(_Complex):
     def adjacent(self, u, v) -> bool:
         return u != v and frozenset((u, v)) in self.faces
 
-    def _neighbours(self):
-        nbrs: list[list[int]] = [[] for _ in self.labels]
+    def _neighbour_bits(self) -> list[int]:
+        bits = [0] * self.n_vertices
         for f in self.faces:
             if len(f) == 2:
                 a, b = (self._index[v] for v in f)
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-        return nbrs.__getitem__
+                bits[a] |= 1 << b
+                bits[b] |= 1 << a
+        return bits
 
     def face_levels(self):
         """The stored faces, lexicographic, one list per dimension."""

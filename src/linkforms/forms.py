@@ -26,7 +26,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -247,8 +247,10 @@ class LinkingForm:
         return self.name or f"form on {self.group}"
 
 
+@lru_cache(maxsize=64, typed=True)
 def standard_w(k: int, name: str | None = None) -> LinkingForm:
-    """The rank-two building block on (Z/k)^2 with b(rho, sigma) = 1/k."""
+    """The rank-two building block on (Z/k)^2 with b(rho, sigma) = 1/k,
+    built once per (k, name) in a bounded memo: vertex lookups share it."""
     if k < 2:
         raise InputError(f"block parameter k = {k} must be >= 2")
     return LinkingForm._from_numerators(

@@ -14,12 +14,12 @@ in g(W), then b_W(w', w) = b(f w', z) = 0 for every w', so w lies in the
 radical of the nonsingular W_k, which is 0; hence z = 0.  So lazy and
 materialized complexes have one edge relation, orthogonality: the lazy
 queries test it pair by pair with ``images_orthogonal``, the materialized
-1-skeleton in bulk with ``_orthogonality``.  The bulk relation pairs each
-pair of distinct image elements once (a block complex has far fewer
-distinct images than vertices) and reads vertex adjacency off that table,
-so a materialized complex costs V^2 bytes of adjacency plus fixed-size
-blocks (``_kernels.orth_adjacency``).  ``LComplex.vertex`` admits
-only morphisms from the standard W_k into the complex's form, which is
+1-skeleton in bulk with ``_kernels.orth_adjacency``.  The bulk relation
+pairs each pair of k-torsion rows once (a block complex has far fewer of
+them than vertices) and reads vertex adjacency off that table through the
+row indices of the pair scan, so a materialized complex costs V^2 bytes
+of adjacency plus fixed-size blocks.  ``LComplex.vertex`` admits only
+morphisms from the standard W_k into the complex's form, which is
 the lemma's hypothesis; ``tests/test_lcomplex.py`` checks the lemma
 against an SNF oracle for the trivial intersection.
 
@@ -46,7 +46,6 @@ from .forms import (
     LinkingForm,
     Subform,
     _retraction,
-    _w_pairs,
     count_w_morphisms,
     first_w_morphism,
     full_subgroup,
@@ -63,6 +62,7 @@ from .snf import prime_factorization
 
 DEFAULT_MATERIALIZE_CAP = 25_000
 DEFAULT_EDGE_CAP = 5_000_000
+ADJACENCY_BYTE_CAP = 1 << 30
 LINK_EDGE_PAIR_CAP = 200_000
 F0_SCAN = 200
 F0_RANK_BUDGET = 50_000
@@ -169,8 +169,9 @@ def build_l_complex(
     Edges are the orthogonal pairs (module docstring).  Beyond
     ``materialize_cap`` vertices the complex is returned lazy unless
     materialization is forced, in which case the cap is enforced with
-    CapExceeded.  More than DEFAULT_EDGE_CAP edges (read at call time)
-    raise CapExceeded too.
+    CapExceeded.  An adjacency of more than ADJACENCY_BYTE_CAP bytes (V^2,
+    refused before the pair scan) and more than DEFAULT_EDGE_CAP edges
+    raise CapExceeded too; both caps are read at call time.
     """
     count = count_w_morphisms(form, k)
     if count > materialize_cap:
@@ -181,18 +182,29 @@ def build_l_complex(
                 cap=materialize_cap,
             )
         return LComplex(form, k)
-    keys = _w_pairs(form, k, cap=max(count, 1))
-    n = len(keys)
-    if n == 0:
+    cap = ADJACENCY_BYTE_CAP
+    if count * count > cap:
+        raise CapExceeded(
+            f"the {count} x {count} adjacency exceeds the adjacency cap of {cap} bytes",
+            needed=count * count,
+            cap=cap,
+        )
+    if count == 0:
         return LComplex(form, k, flag=FlagComplex([], np.zeros((0, 0), dtype=bool)))
-    adj = _orthogonality(form, k, keys)
+    # vertex i is the i-th pair of the row-major scan, as in w_morphism_by_index
+    X, N, D = form.torsion_matrix(k), form._numerator_array, form.denominator
+    pairs, found = _kernels.pairs_hitting(X, N, D, D // k, count)
+    if found != count:
+        raise InvariantError(f"pair scan found {found} morphisms, the row counts {count}")
+    xi, yi = np.ascontiguousarray(pairs.T)
+    adj = _kernels.orth_adjacency(X, xi, yi, N, D)
     np.fill_diagonal(adj, False)
     edges = int(np.count_nonzero(adj)) // 2  # adj is symmetric
     if edges > DEFAULT_EDGE_CAP:
         raise CapExceeded(
             f"{edges} edges exceed the edge cap", needed=edges, cap=DEFAULT_EDGE_CAP
         )
-    flag = FlagComplex(tuple(range(n)), adj)
+    flag = FlagComplex(tuple(range(count)), adj)
     return LComplex(form, k, flag=flag)
 
 

@@ -68,6 +68,11 @@ from .forms import (
 )
 from .groups import invariant_chain
 
+# Largest group rank of the padded form, form (+) W_k^g_max, that
+# ``stable_k_rank`` searches (read at call time).  W_3 at k = 3 reaches it
+# at g_max = 31, a few seconds of searches that grow about as g_max^5.
+STABLE_PADDED_RANK_CAP = 64
+
 
 def size_bound(form: LinkingForm, k: int) -> int:
     g = 0
@@ -302,12 +307,19 @@ def stable_k_rank(form: LinkingForm, k: int, g_max: int, budget: int = 200_000) 
     upper_bound(form, k) for every g; the result is certified exactly when
     the achieving computation is certified and the value meets that bound,
     since no larger g could then improve it.  A negative budget raises
-    InputError from the first ``k_rank`` call.
+    InputError from the first ``k_rank`` call.  A padded rank
+    rank(form) + 2 g_max past STABLE_PADDED_RANK_CAP raises CapExceeded
+    before any search.
     """
     if k < 2:
         raise InputError("k must be >= 2")
     if g_max < 0:
         raise InputError(f"g_max = {g_max} must be >= 0")
+    padded, cap = form.group.rank + 2 * g_max, STABLE_PADDED_RANK_CAP
+    if padded > cap:
+        raise CapExceeded(
+            f"padded rank {padded} exceeds the stable-rank cap {cap}", needed=padded, cap=cap
+        )
     per_g = []
     value = None
     certified_at_value = False

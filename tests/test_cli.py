@@ -20,7 +20,7 @@ from linkforms import (
     standard_w,
     w_power,
 )
-from linkforms import complexes
+from linkforms import complexes, lcomplex
 import linkforms.errors as errors
 from linkforms.cli import _ERROR_CODES, braced, main
 from linkforms.corpus import scramble_form
@@ -147,6 +147,15 @@ def test_rank_stable(files, capsys):
     assert ranks == [1, 2, 3]
 
 
+def test_rank_stable_past_padded_rank_cap_exits_5(files, capsys):
+    """--gmax 2^70 would pad W_3 to rank 2 + 2^71: refused (exit 5) before
+    the first search, as the refusal's needed rank shows."""
+    code, report = run_json(capsys, "rank", files["w3"], "3", "--stable", "--gmax", str(2**70))
+    assert code == 5
+    assert report["data"]["kind"] == "CapExceeded"
+    assert (report["data"]["needed"], report["data"]["cap"]) == (2 + 2**71, 64)
+
+
 def test_rank_require_certified_exits_4(files, capsys):
     code, report = run_json(
         capsys, "rank", files["mixed"], "3", "--budget", "1", "--require-certified"
@@ -261,6 +270,17 @@ def test_complex_force_materialize_exits_5(files, capsys):
     assert report["data"]["kind"] == "CapExceeded"
     assert report["data"]["needed"] == 2160
     assert report["data"]["cap"] == 100
+
+
+def test_complex_past_adjacency_cap_exits_5(files, capsys, monkeypatch):
+    """A --materialize-cap above the vertex count lets W_3^2 through, but
+    its 2160 x 2160 adjacency is past an adjacency cap patched down to
+    2160^2 - 1 bytes: refused (exit 5) with the bytes it would need."""
+    monkeypatch.setattr(lcomplex, "ADJACENCY_BYTE_CAP", 2160**2 - 1)
+    code, report = run_json(capsys, "complex", files["w3sq"], "3", "--materialize-cap", "1000000")
+    assert code == 5
+    assert report["data"]["kind"] == "CapExceeded"
+    assert (report["data"]["needed"], report["data"]["cap"]) == (2160**2, 2160**2 - 1)
 
 
 def test_complex_past_enumeration_cap_exits_5(tmp_path, capsys):
@@ -604,8 +624,9 @@ INTS = st.sampled_from(SMALL + (str(2**70),))
 # Levels k also take 2^40 and the prime 2^61 - 1: no bound factors k and no
 # first-morphism walk holds a torsion axis, so both stay cheap.
 LEVELS = st.sampled_from(SMALL + (str(2**70), str(2**40), str(2**61 - 1)))
-# Counts of requested work (padded blocks, link checks) stay small: each
-# unit is a rank search or a link check.
+# Counts of link checks stay small: each unit is a link check.  Padded
+# blocks (--gmax) take INTS, 2^70 among them: past the padded-rank cap the
+# stable rank is refused before its first search.
 COUNTS = st.sampled_from(SMALL)
 
 
@@ -630,7 +651,7 @@ def contract_argv(draw):
         return ["classify", doc]
     if command == "rank":
         return (["rank", doc, draw(LEVELS), "--budget", draw(INTS)] + draw(switch("--stable"))
-                + draw(optional("--gmax", COUNTS)) + draw(switch("--require-certified")))
+                + draw(optional("--gmax", INTS)) + draw(switch("--require-certified")))
     if command == "complex":
         # The 2160-vertex complex of W_3^2 at k = 3 takes 0.4 s to
         # materialize, so that document keeps a cap that leaves it lazy.
@@ -671,6 +692,7 @@ def contract_files(tmp_path_factory):
 @example(["rank", "w3", str(2**61 - 1), "--budget", "3"])
 @example(["rank", "w3", str(2**40), "--stable", "--gmax", "1", "--budget", "3"])
 @example(["complex", "w3", "3", "--homology-max-dim", str(2**70)])
+@example(["rank", "w3sq", "3", "--stable", "--gmax", str(2**70)])
 @example(["classify", "not-utf8"])
 @example(["bordism", "--manifold", "not-utf8"])
 @example(["classify", "deep-nesting"])
@@ -682,8 +704,10 @@ def test_argument_contract(contract_files, argv):
     ``REPORT_SCHEMA``.  The explicit examples are the large levels: W_3
     padded with W_{2^40} at k = 2^40, and W_3 at the prime k = 2^61 - 1;
     and --homology-max-dim 2^70, past the simplex budget, which homology
-    refuses (exit 5) rather than list 2^70 trivial degrees; and a document
-    that is not UTF-8 or is nested too deeply, which is input (exit 2)."""
+    refuses (exit 5) rather than list 2^70 trivial degrees; --gmax 2^70,
+    past the padded-rank cap, refused (exit 5) before any search; and a
+    document that is not UTF-8 or is nested too deeply, which is input
+    (exit 2)."""
     argv = [contract_files.get(a, a) for a in argv] + ["--json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

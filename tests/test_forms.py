@@ -151,6 +151,20 @@ def test_radical_of_singular_form():
     assert standard_w(3).radical().order == 1
 
 
+def test_default_block_is_built_once_per_level():
+    """The default-named W_k comes from a bounded memo, so the vertices of
+    a complex share their source block instead of each building one; a
+    block given a name is built afresh and equals the default one."""
+    assert standard_w(3) is standard_w(3) and standard_w(3).name == "W_3"
+    f, g = (w_morphism_by_index(w_power(3, 2), 3, i) for i in (0, 2159))
+    assert f.source is g.source is standard_w(3)
+    named = standard_w(3, "B")
+    assert named.name == "B" and named is not standard_w(3) and named == standard_w(3)
+    assert standard_w.cache_info().maxsize == 64
+    with pytest.raises(InputError):
+        standard_w(1)
+
+
 # ---------------------------------------------------------------------------
 # block morphism enumeration (frozen counts)
 # ---------------------------------------------------------------------------

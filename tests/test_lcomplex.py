@@ -241,6 +241,8 @@ def test_every_vertex_keeps_its_number(materialize_cap):
         m = L.vertex(i)
         assert m.key() == key
         assert L.index_of(m) == i
+    if L.materialized:
+        assert np.array_equal(L.flag.adj, _key_route_adjacency(L.form, 3))
 
 
 def _singular_restriction():
@@ -258,6 +260,9 @@ ROUND_TRIP_CASES = {
     "W_6^2 k=3": (lambda: scramble_form(w_power(6, 2), random.Random(6))[0], 3),
     "W_6^2 k=6": (lambda: scramble_form(w_power(6, 2), random.Random(6))[0], 6),
     "ker W_3^2 k=3": (_singular_restriction, 3),
+    # W_6^2 at k = 6 has 259,200 vertices; this composite level materializes
+    "W_6+W_2 k=6": (lambda: scramble_form(direct_sum(standard_w(6), standard_w(2)),
+                                          random.Random(6))[0], 6),
 }
 
 
@@ -268,13 +273,31 @@ def _round_trip_complex(case):
     return L, L.form.torsion_matrix(k)
 
 
+def _key_route_adjacency(form, k):
+    """Oracle for the materialized adjacency, by the route that keys every
+    vertex: the (x, y) coefficient tuples of the pair scan, one kernel row
+    per distinct tuple (``_orthogonality``), loops removed."""
+    adj = lcomplex._orthogonality(form, k, _w_pairs(form, k, cap=count_w_morphisms(form, k)))
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 def test_round_trip_cases_cover_both_flavours_and_paths():
     """The round-trip cases hold lazy and materialized complexes, an exact
-    (past the int64 gate) form and a singular one."""
+    (past the int64 gate) form and a singular one.  Each materialized
+    adjacency, built from the row indices of the pair scan, equals the
+    key-route oracle, on int64 and exact forms alike."""
     complexes = [_round_trip_complex(case)[0] for case in ROUND_TRIP_CASES]
     assert {L.materialized for L in complexes} == {True, False}
     assert any(L.form._np_numerators is None for L in complexes)
     assert not _round_trip_complex("ker W_3^2 k=3")[0].form.is_nonsingular()
+    exact = set()
+    for L in complexes:
+        if L.materialized:
+            assert np.array_equal(L.flag.adj, _key_route_adjacency(L.form, L.k))
+            exact.add(L.form._np_numerators is None)
+    assert exact == {True, False}
+    assert {L.k for L in complexes if L.materialized} == {2, 3, 6}
 
 
 @settings(max_examples=80, deadline=None)
@@ -409,6 +432,26 @@ def test_lazy_below_forced_cap():
 def test_force_materialize_over_cap():
     with pytest.raises(CapExceeded):
         build_l_complex(w_power(3, 2), 3, materialize_cap=100, force_materialize=True)
+
+
+def test_adjacency_cap_refuses_before_allocating(monkeypatch):
+    """ADJACENCY_BYTE_CAP is read at call time: W_3^2 at k = 3 builds with
+    its 2160^2 bytes of adjacency exactly at the cap, and one byte below it
+    the build is refused before the pair scan, so before any V x V array."""
+    monkeypatch.setattr(lcomplex, "ADJACENCY_BYTE_CAP", 2160**2)
+    assert build_l_complex(w_power(3, 2), 3, materialize_cap=10**6).materialized
+    monkeypatch.setattr(lcomplex, "ADJACENCY_BYTE_CAP", 2160**2 - 1)
+
+    def allocating(*args):
+        raise AssertionError("adjacency work ran before the cap check")
+
+    monkeypatch.setattr(lcomplex._kernels, "pairs_hitting", allocating)
+    monkeypatch.setattr(lcomplex._kernels, "orth_adjacency", allocating)
+    for force in (False, True):
+        with pytest.raises(CapExceeded) as exc:
+            build_l_complex(w_power(3, 2), 3, materialize_cap=10**6, force_materialize=force)
+        assert (exc.value.needed, exc.value.cap) == (2160**2, 2160**2 - 1)
+    assert not build_l_complex(w_power(3, 2), 3, materialize_cap=2159).materialized
 
 
 def test_edge_cap(monkeypatch):

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import linkforms.rank as rank
 from linkforms import (
+    CapExceeded,
     FinAbGroup,
     GroupHom,
     InputError,
@@ -222,6 +223,23 @@ def test_rank_rejects_k_below_two(k):
 def test_stable_rank_rejects_negative_g_max():
     with pytest.raises(InputError):
         stable_k_rank(standard_w(3), 3, g_max=-1)
+
+
+def test_stable_rank_refuses_past_the_padded_rank_cap(monkeypatch):
+    """STABLE_PADDED_RANK_CAP is read at call time and bounds the rank of
+    form (+) W_k^g_max, so a refusal comes before any search."""
+    assert rank.STABLE_PADDED_RANK_CAP == 64
+    monkeypatch.setattr(rank, "STABLE_PADDED_RANK_CAP", 6)
+    assert stable_k_rank(standard_w(3), 3, g_max=2).value == 1  # rank 2 + 4 = 6
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched before the cap check")
+
+    monkeypatch.setattr(rank, "k_rank", search)
+    for form, g_max in ((standard_w(3), 3), (w_power(3, 2), 2), (standard_w(3), 2**70)):
+        with pytest.raises(CapExceeded) as exc:
+            stable_k_rank(form, 3, g_max=g_max)
+        assert (exc.value.needed, exc.value.cap) == (form.group.rank + 2 * g_max, 6)
 
 
 def test_rank_rejects_negative_budget():
