@@ -330,9 +330,21 @@ def orthogonal_complement(form: LinkingForm, subgroup: Subgroup) -> Subform:
 
     One congruence row per invariant-factor generator of S suffices.
     """
-    rows = [form.dual_functional_rows(g) for g in subgroup.decomposition_gens]
-    sol = solve_congruence_system(form.group, rows)
-    return Subform(form, sol)
+    return solve_complement(form, complement_rows(form, subgroup))
+
+
+def complement_rows(form: LinkingForm, subgroup: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The coefficients c of the congruences c . z = 0 mod D that cut out
+    S^perp, one row x N mod D (``dual_functional_rows``) per
+    invariant-factor generator x of S, in their order."""
+    return tuple(tuple(form.dual_functional_rows(g)[0]) for g in subgroup.decomposition_gens)
+
+
+def solve_complement(form: LinkingForm, rows) -> Subform:
+    """The subform on {z : c . z = 0 mod D for each row c of ``rows``}, a
+    function of the rows alone (``complement_rows``)."""
+    D = form.denominator
+    return Subform(form, solve_congruence_system(form.group, [(c, D) for c in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -650,28 +662,39 @@ def split_along(f: FormMorphism) -> Subform:
     """Split M = f(W_k) (+) f(W_k)^perp off a morphism f : W_k -> M and
     return the complement f(W_k)^perp; the image is ``f.image_subgroup``.
 
+    Two steps: the solve (``orthogonal_complement`` of the image, a
+    function of its congruence rows alone, so a caller may share one solve
+    between morphisms whose images give the same rows) and the check of
+    that complement against f itself (``check_split``), which every
+    morphism must pass on its own.  This works for arbitrary M, singular
+    or not, because W_k itself is nonsingular.
+    """
+    complement = orthogonal_complement(f.target, f.image_subgroup)
+    check_split(f, complement)
+    return complement
+
+
+def check_split(f: FormMorphism, complement: Subform) -> None:
+    """Raise InvariantError unless M = f(W_k) (+) complement.
+
     The retraction r sends z to (t1, t2) where b(z, y) = t1/k and
     b(x, z) = t2/k; it restricts to the identity on the image (through f)
-    and its kernel is exactly the orthogonal complement.  This works for
-    arbitrary M, singular or not, because W_k itself is nonsingular.
-    The orders of image and complement must multiply to |M|; each is the
-    product of its invariant factors, read off the decompositions that the
-    complement's congruence rows and the retraction test below use anyway,
-    so the check runs no elimination of its own.  The intersection of
-    image and complement is certified trivial by the complement
-    generators lying in ker r: then z = f(w) in both gives
-    w = r(f(w)) = r(z) = 0.  The same test rejects a complement that is
-    not orthogonal to the image, since ker r is exactly its complement.
+    and its kernel is exactly the orthogonal complement.  The orders of
+    image and complement must multiply to |M|; each is the product of its
+    invariant factors, read off the decompositions that the complement's
+    congruence rows and the retraction test below use anyway, so the check
+    runs no elimination of its own.  The intersection of image and
+    complement is certified trivial by the complement generators lying in
+    ker r: then z = f(w) in both gives w = r(f(w)) = r(z) = 0.  The same
+    test rejects a complement that is not orthogonal to the image, since
+    ker r is exactly its complement.
     """
-    M = f.target
     retraction = _retraction(f)
-    complement = orthogonal_complement(M, f.image_subgroup)
     orders = f.image_subgroup.invariant_factors + complement.subgroup.invariant_factors
-    if math.prod(orders) != M.group.order:
+    if math.prod(orders) != f.target.group.order:
         raise InvariantError("image and complement orders must multiply to |M|")
     if not all(retraction(z).is_zero() for z in complement.subgroup.decomposition_gens):
         raise InvariantError("image and complement must intersect trivially")
-    return complement
 
 
 # ---------------------------------------------------------------------------

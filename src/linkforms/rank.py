@@ -38,14 +38,31 @@ first use.  The greedy chain's first morphism is branch 0, so the two
 share one split.  All of these are functions of (group, D, N) alone: the
 pair scan, ``first_w_morphism``, ``is_nonsingular``, ``normal_form`` and
 ``split_along`` read nothing else of a form, so equal forms give equal
-answers and a lookup returns what recomputing would.  The search itself
-does not change: every visit still ticks once and takes its steps in the
-same order (bounds, greedy chain, memo, branches with the early exit),
-the memo is still keyed by classification and filled for nonsingular
-forms only, so the node count, the memo, the point where a budget runs
-out, the branch order and the witnesses are those of recomputing.  The
-table lives only as long as its ``k_rank`` call; repeated calls on one
-form repeat the work.
+answers and a lookup returns what recomputing would.
+
+A split is a solve and a check (``split_along``).  The solve, with the
+complement's decomposition and restricted form, is a function of the
+image's congruence rows alone (``complement_rows``), and on a singular
+form distinct images often give the same rows (the kernel of
+W_3 (+) W_9 -> Z/3 by (0, 0, 1, 0) has 81 branches and 34 row sets), so
+each form's node also keeps the solved complement of each row set met,
+and a morphism whose rows were solved reuses that complement: again a
+lookup returns what recomputing would.  The check (``check_split``: the
+orders multiply to |M|, the complement lies in ker r_f) still runs once
+for each morphism's own f, so a shared complement is certified for every
+branch that uses it.  The two tables are kept apart, because a row set
+can equal another morphism's key.
+
+The search itself does not change: every visit still ticks once and
+takes its steps in the same order (bounds, greedy chain, memo, branches
+with the early exit), the memo is still keyed by classification and
+filled for nonsingular forms only, so the node count, the memo, the
+point where a budget runs out, the branch order and the witnesses are
+those of recomputing.  The table lives only as long as its ``k_rank``
+call, on no form or subgroup that outlives it; repeated calls on one
+form repeat the work.  The branch enumeration takes at most as many
+morphisms as the budget has nodes (at least 10,000) and never more than
+``forms.DEFAULT_VERTEX_CAP``; past that the search stops uncertified.
 """
 
 from __future__ import annotations
@@ -53,16 +70,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import forms
 from .errors import BudgetExhausted, CapExceeded, InputError, InvariantError
 from .forms import (
     FormMorphism,
     LinkingForm,
     Subform,
     _w_pairs,
+    check_split,
+    complement_rows,
     direct_sum,
     first_w_morphism,
     normal_form,
-    split_along,
+    solve_complement,
     standard_w,
     w_power,
 )
@@ -110,14 +130,17 @@ _UNKNOWN = object()
 class _Node:
     """What the search needs of one form, each part filled on first use:
     its greedy chain, its classification key (None when singular), its
-    distinct-image branches, and the split complement of each morphism
-    taken from it, keyed by ``FormMorphism.key``."""
+    distinct-image branches, the checked split complement of each morphism
+    taken from it, keyed by ``FormMorphism.key``, and the solved complement
+    of each set of congruence rows, keyed by ``complement_rows``, which
+    morphisms with equal rows share."""
 
     form: LinkingForm
     greedy: list[FormMorphism] | None = None
     key: object = _UNKNOWN
     branches: list[FormMorphism] | None = None
     complements: dict[tuple, Subform] = field(default_factory=dict)
+    solved: dict[tuple, Subform] = field(default_factory=dict)
 
 
 @dataclass
@@ -140,10 +163,17 @@ class _SearchState:
         return node
 
     def complement(self, node: _Node, f: FormMorphism) -> Subform:
-        """The complement of f(W_k) in ``node.form``; f maps into it."""
+        """The complement of f(W_k) in ``node.form``; f maps into it.  The
+        solve is shared by the morphisms whose images give the same
+        congruence rows; the split check runs once for each morphism."""
         comp = node.complements.get(f.key())
         if comp is None:
-            comp = node.complements[f.key()] = split_along(f)
+            rows = complement_rows(node.form, f.image_subgroup)
+            comp = node.solved.get(rows)
+            if comp is None:
+                comp = node.solved[rows] = solve_complement(node.form, rows)
+            check_split(f, comp)
+            node.complements[f.key()] = comp
         return comp
 
     def normal_form_key(self, node: _Node):
@@ -155,7 +185,7 @@ class _SearchState:
     def branches(self, node: _Node) -> list[FormMorphism]:
         if node.branches is None:
             node.branches = _distinct_image_branches(
-                node.form, self.k, cap=max(10_000, self.budget)
+                node.form, self.k, cap=min(max(10_000, self.budget), forms.DEFAULT_VERTEX_CAP)
             )
         return node.branches
 

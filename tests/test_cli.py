@@ -594,10 +594,14 @@ def test_frozen_report(files, w3_fourth, capsys, argv):
 # ---------------------------------------------------------------------------
 
 W3_DOC = form_to_document(standard_w(3))
+ZERO_3SQ = LinkingForm(FinAbGroup.of(3, 3), [[QZValue(0, 1)] * 2] * 2)
 CONTRACT_DOCS = {
     "w3": W3_DOC,
     "w3sq": form_to_document(w_power(3, 2)),
     "singular": form_to_document(LinkingForm(FinAbGroup.of(3), [[QZValue(0, 1)]])),
+    # 1,162,084,320 morphisms at k = 3: rank's branch enumeration is
+    # refused at its cap whatever the budget, and the complex stays lazy.
+    "w3-fourth-zero": form_to_document(direct_sum(w_power(3, 4), ZERO_3SQ)),
     "string-orders": {**W3_DOC, "orders": ["3", "3"]},
     "zero-order": {**W3_DOC, "orders": [0, 3]},
     "negative-order": {**W3_DOC, "orders": [-3, 3]},
@@ -693,6 +697,8 @@ def contract_files(tmp_path_factory):
 @example(["rank", "w3", str(2**40), "--stable", "--gmax", "1", "--budget", "3"])
 @example(["complex", "w3", "3", "--homology-max-dim", str(2**70)])
 @example(["rank", "w3sq", "3", "--stable", "--gmax", str(2**70)])
+@example(["rank", "w3-fourth-zero", "3", "--budget", str(2**70)])
+@example(["rank", "w3-fourth-zero", "3", "--budget", str(2**70), "--require-certified"])
 @example(["classify", "not-utf8"])
 @example(["bordism", "--manifold", "not-utf8"])
 @example(["classify", "deep-nesting"])
@@ -705,9 +711,12 @@ def test_argument_contract(contract_files, argv):
     padded with W_{2^40} at k = 2^40, and W_3 at the prime k = 2^61 - 1;
     and --homology-max-dim 2^70, past the simplex budget, which homology
     refuses (exit 5) rather than list 2^70 trivial degrees; --gmax 2^70,
-    past the padded-rank cap, refused (exit 5) before any search; and a
-    document that is not UTF-8 or is nested too deeply, which is input
-    (exit 2)."""
+    past the padded-rank cap, refused (exit 5) before any search;
+    --budget 2^70 on W_3^4 (+) (Z/3)^2 with the zero form, whose branch
+    enumeration past ``forms.DEFAULT_VERTEX_CAP`` is refused, leaving the
+    greedy chain uncertified (exit 0, or 4 under --require-certified);
+    and a document that is not UTF-8 or is nested too deeply, which is
+    input (exit 2)."""
     argv = [contract_files.get(a, a) for a in argv] + ["--json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

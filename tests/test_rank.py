@@ -7,26 +7,34 @@ networkx's maximal-clique enumerator; adjacency is evaluated straight from
 the form, not through the library's own predicates.
 """
 
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkforms.forms as forms
 import linkforms.rank as rank
 from linkforms import (
     CapExceeded,
     FinAbGroup,
     GroupHom,
     InputError,
+    InvariantError,
     LinkingForm,
+    QZValue,
+    count_w_morphisms,
     direct_sum,
     k_rank,
     kernel_form,
     morphisms_from_w,
+    split_along,
     stable_k_rank,
     standard_w,
     upper_bound,
@@ -356,10 +364,13 @@ def searched_kernel():
 
 
 def test_search_handles_each_distinct_form_once(monkeypatch):
-    """The root and its one distinct complement are enumerated once each;
-    only the 81 branch splits remain, the greedy chain's first split being
-    branch 0's (recomputing per node makes 82, 87 and 84 calls)."""
-    calls = dict.fromkeys(["_distinct_image_branches", "first_w_morphism", "split_along"], 0)
+    """The root and its one distinct complement are enumerated once each.
+    The 81 branch complements come from 34 distinct congruence-row sets, so
+    34 solves; each branch's own morphism is still checked, 81 checks, the
+    greedy chain's first split being branch 0's (recomputing per node makes
+    82, 87 and 84 calls, and splitting every morphism afresh 81 solves)."""
+    names = ["_distinct_image_branches", "first_w_morphism", "solve_complement", "check_split"]
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(rank, name), **kwargs):
             calls[_name] += 1
@@ -367,7 +378,136 @@ def test_search_handles_each_distinct_form_once(monkeypatch):
         monkeypatch.setattr(rank, name, counted)
     res = k_rank(searched_kernel(), 3)
     assert (res.value, res.certified, res.nodes) == (1, True, 82)
-    assert calls == {"_distinct_image_branches": 2, "first_w_morphism": 2, "split_along": 81}
+    assert calls == {
+        "_distinct_image_branches": 2,
+        "first_w_morphism": 2,
+        "solve_complement": 34,
+        "check_split": 81,
+    }
+
+
+def test_split_checks_guard_the_shared_solves(monkeypatch):
+    """Every morphism the search splits along is checked against its
+    complement once, shared solve or not; a search handed branch 0's
+    complement for every branch is stopped by those checks."""
+    checked = []
+    check = rank.check_split
+    def recorded(f, comp):
+        checked.append((f.target, f.key()))
+        check(f, comp)
+    monkeypatch.setattr(rank, "check_split", recorded)
+    assert k_rank(searched_kernel(), 3).certified
+    assert len(checked) == len(set(checked)) == 81
+
+    solve, first = rank.solve_complement, {}
+    def stuck(form, rows):
+        if form not in first:
+            first[form] = solve(form, rows)
+        return first[form]
+    monkeypatch.setattr(rank, "solve_complement", stuck)
+    with pytest.raises(InvariantError, match="intersect trivially"):
+        k_rank(searched_kernel(), 3)
+
+
+def test_solves_and_splits_are_keyed_apart():
+    """On W_3^2 the congruence rows of one morphism's image can be another
+    morphism's key, with a different image; the solves and the checked
+    splits are looked up in separate tables, so each gets its own
+    complement."""
+    form = w_power(3, 2)
+    morphs = morphisms_from_w(form, 3)
+    by_key = {f.key(): f for f in morphs}
+    f, g = next(
+        (f, by_key[rows]) for f in morphs
+        if (rows := forms.complement_rows(form, f.image_subgroup)) in by_key
+        and by_key[rows].image_key() != f.image_key()
+    )
+    state = rank._SearchState(k=3, budget=0)
+    node = state.node(form)
+    state.complement(node, g)
+    got, want = state.complement(node, f).subgroup, split_along(f).subgroup
+    assert [z.coeffs for z in got.generators] == [z.coeffs for z in want.generators]
+
+
+def recomputing_complement(self, node, f):
+    """The search's complement before the solves were shared: one
+    ``split_along`` per morphism taken from each form."""
+    comp = node.complements.get(f.key())
+    if comp is None:
+        comp = node.complements[f.key()] = split_along(f)
+    return comp
+
+
+def traced_rank(form, k, budget, complement):
+    """(value, certified, nodes, bound, witness keys) of ``k_rank`` with
+    ``_SearchState.complement`` replaced by ``complement``, and the
+    presentation of each complement it returned, in call order."""
+    used = []
+    def traced(self, node, f):
+        comp = complement(self, node, f)
+        gens = comp.subgroup.decomposition_gens
+        used.append((f.key(), [g.coeffs for g in comp.subgroup.generators],
+                     [g.coeffs for g in gens], comp.form.group.orders,
+                     comp.form.denominator, comp.form.numerators))
+        return comp
+    with mock.patch.object(rank._SearchState, "complement", traced):
+        res = k_rank(form, k, budget=budget)
+    return (res.value, res.certified, res.nodes, res.bound, [f.key() for f in res.witness]), used
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_cases(), st.integers(-2, 1))
+def test_shared_complements_answer_as_recomputing_does(case, offset):
+    """The search sharing solves by congruence rows gives the answer, the
+    node count and every complement presentation of the search that splits
+    each morphism afresh, at budgets around the node count."""
+    form, k = case
+    budget = max(0, k_rank(form, k).nodes + offset)
+    shared = traced_rank(form, k, budget, rank._SearchState.complement)
+    assert shared == traced_rank(form, k, budget, recomputing_complement)
+
+
+def test_search_state_dies_with_the_call(monkeypatch):
+    """Every complement a ``k_rank`` call solves is freed by reference
+    counting alone once the call returns, certified or out of budget: the
+    shared solves live in the call's search state, on no form or subgroup
+    that outlives it, and in no reference cycle."""
+    refs = []
+    solve = rank.solve_complement
+    def recorded(form, rows):
+        comp = solve(form, rows)
+        refs.append(weakref.ref(comp))
+        return comp
+    monkeypatch.setattr(rank, "solve_complement", recorded)
+    form = searched_kernel()
+    gc.disable()
+    try:
+        for budget in (200_000, 40):
+            del refs[:]
+            res = k_rank(form, 3, budget=budget)
+            assert res.certified == (budget > 82)
+            assert len(refs) > 1 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_branch_enumeration_is_capped_whatever_the_budget(monkeypatch):
+    """The branch enumeration may take as many morphisms as the budget has
+    nodes, but never more than ``forms.DEFAULT_VERTEX_CAP`` (read at call
+    time): past it the search stops with the greedy chain, uncertified.
+    W_3^4 (+) (Z/3)^2 with the zero form has 1,162,084,320 morphisms at
+    k = 3, a scan that a budget of 2^70 must not ask for."""
+    zero = LinkingForm(FinAbGroup.of(3, 3), [[QZValue(0, 1)] * 2] * 2)
+    wide = direct_sum(w_power(3, 4), zero)
+    assert count_w_morphisms(wide, 3) == 1_162_084_320
+    res = k_rank(wide, 3, budget=2**70)
+    assert (res.value, res.certified, res.bound) == (4, False, 5)
+
+    form = searched_kernel()
+    assert k_rank(form, 3, budget=2**70).certified
+    monkeypatch.setattr(forms, "DEFAULT_VERTEX_CAP", count_w_morphisms(form, 3) - 1)
+    res = k_rank(form, 3, budget=2**70)
+    assert (res.value, res.certified, res.nodes) == (1, False, 1)
 
 
 @pytest.mark.parametrize(
