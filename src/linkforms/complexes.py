@@ -57,9 +57,12 @@ def breadth_first(start, neighbours, goal=None) -> dict:
     (``start`` maps to None); vertices are expanded in discovery order and
     their neighbours in the order ``neighbours(v)`` lists them, so the
     chain of parents from any vertex is a shortest path back to ``start``.
-    The search stops as soon as ``goal`` is reached.
+    The search stops as soon as ``goal`` is reached, before any
+    ``neighbours`` call when it is ``start``.
     """
     parent = {start: None}
+    if start == goal:
+        return parent
     frontier = [start]
     for u in frontier:  # grows while it is read: a first-in, first-out queue
         for v in neighbours(u):
@@ -188,10 +191,6 @@ class FlagComplex(_Complex):
 
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
-
-    def _neighbours(self):
-        adj = self.adj
-        return lambda i: np.flatnonzero(adj[i]).tolist()
 
     def _neighbour_bits(self) -> list[int]:
         """The rows of ``adj`` packed a block of rows at a time."""

@@ -482,18 +482,29 @@ def count_w_morphisms(form: LinkingForm, k: int) -> int:
     return len(form._good_rows(k)) * (form.group.torsion_count(k) // k)
 
 
+def _w_pair_scan(form: LinkingForm, k: int, total: int):
+    """``torsion_matrix(k)`` and the row index pairs (i, j) with
+    b(x_i, x_j) = 1/k in row-major order, so that pair n is morphism n of
+    ``w_morphism_by_index``.  One scan of M[k] x M[k], which must find the
+    ``count_w_morphisms`` total or raise InvariantError.  Requires k | D."""
+    X, N, D = form.torsion_matrix(k), form._numerator_array, form.denominator
+    pairs, found = _kernels.pairs_hitting(X, N, D, D // k, total)
+    if found != total:
+        raise InvariantError(f"pair scan found {found} morphisms, the row counts {total}")
+    return X, pairs
+
+
 def _w_pairs(form: LinkingForm, k: int, cap: int) -> list[tuple[tuple, tuple]]:
     """Coefficient tuples (x, y) of every morphism W_k -> form, ordered
     lexicographically by (x, y).
 
-    The pairs come from one scan of the congruence b(x, y) = 1/k over
-    M[k] x M[k]; the scan must find exactly the ``count_w_morphisms``
-    total, or the call raises InvariantError.  Each tuple is reduced mod
-    the group orders, as ``GroupElement.coeffs`` and ``image_key`` are.
-    Building and checking the ``FormMorphism`` of a pair is left to the
-    caller, so that a caller who needs only some of them builds only those:
-    ``rank._distinct_image_branches`` builds one per image, which is sound
-    because a morphism from the nonsingular W_k is injective.
+    The pairs come from the one checked pair scan, ``_w_pair_scan``.  Each
+    tuple is reduced mod the group orders, as ``GroupElement.coeffs`` and
+    ``image_key`` are.  Building and checking the ``FormMorphism`` of a
+    pair is left to the caller, so that a caller who needs only some of
+    them builds only those: ``rank._distinct_image_branches`` builds one
+    per image, which is sound because a morphism from the nonsingular W_k
+    is injective.
     """
     total = count_w_morphisms(form, k)
     if total > cap:
@@ -502,11 +513,7 @@ def _w_pairs(form: LinkingForm, k: int, cap: int) -> list[tuple[tuple, tuple]]:
         )
     if total == 0:
         return []
-    X, N = form.torsion_matrix(k), form._numerator_array
-    D = form.denominator
-    pairs, found = _kernels.pairs_hitting(X, N, D, D // k, total)
-    if found != total:
-        raise InvariantError(f"pair scan found {found} morphisms, the row counts {total}")
+    X, pairs = _w_pair_scan(form, k, total)
     rows = [tuple(row) for row in X.tolist()]
     return [(rows[i], rows[j]) for i, j in pairs.tolist()]
 

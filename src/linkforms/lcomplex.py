@@ -17,16 +17,17 @@ queries test it pair by pair with ``images_orthogonal``, the materialized
 1-skeleton in bulk with ``_kernels.orth_adjacency``.  The bulk relation
 pairs each pair of k-torsion rows once (a block complex has far fewer of
 them than vertices) and reads vertex adjacency off that table through the
-row indices of the pair scan, so a materialized complex costs V^2 bytes
-of adjacency plus fixed-size blocks.  ``LComplex.vertex`` admits only
-morphisms from the standard W_k into the complex's form, which is
-the lemma's hypothesis; ``tests/test_lcomplex.py`` checks the lemma
-against an SNF oracle for the trivial intersection.
+row indices of the pair scan (``forms._w_pair_scan``), so a
+materialized complex costs V^2 bytes of adjacency plus fixed-size blocks.
+``LComplex.vertex`` admits only morphisms from the standard W_k into the
+complex's form, which is the lemma's hypothesis; ``tests/test_lcomplex.py``
+checks the lemma against an SNF oracle for the trivial intersection.
 
 Small complexes are materialized as a FlagComplex; above the vertex cap
 the complex stays lazy and queries are served by generating morphisms
 into orthogonal complements on demand, which is all the constructive
-path/transitivity machinery needs.
+path/transitivity machinery needs: lazy paths run through one hub
+(``LComplex.hub``), searched for once per complex, found or not.
 """
 
 from __future__ import annotations
@@ -35,17 +36,19 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .complexes import FlagComplex, breadth_first
-from .errors import BudgetExhausted, CapExceeded, InputError, InvariantError
+from .errors import CapExceeded, InputError, InvariantError
 from .forms import (
     FormMorphism,
     LinkingForm,
     Subform,
     _retraction,
+    _w_pair_scan,
     count_w_morphisms,
     first_w_morphism,
     full_subgroup,
@@ -119,7 +122,6 @@ class LComplex:
         self.k = k
         self.vertex_count = count_w_morphisms(form, k)
         self.flag = flag
-        self._f0_cache = None
 
     @property
     def materialized(self) -> bool:
@@ -157,6 +159,27 @@ class LComplex:
     def complement_of(self, f: FormMorphism) -> Subform:
         return orthogonal_complement(self.form, f.image_subgroup)
 
+    @cached_property
+    def hub(self) -> tuple[FormMorphism | None, dict, Subform | None]:
+        """The path hub f0 of ``find_short_path``, its selection stats and
+        its orthogonal complement: the first of the first ``F0_SCAN``
+        vertices whose complement has block rank at least 3 within
+        ``F0_RANK_BUDGET`` (an uncertified value is accepted and flagged),
+        or (None, stats, None) when none has.  Computed once per complex,
+        so later queries reuse the complement's lattice work or the
+        absence."""
+        uncertified = False
+        scanned = min(F0_SCAN, self.vertex_count)
+        for i in range(scanned):
+            cand = self.vertex(i)
+            comp = self.complement_of(cand)
+            r = k_rank(comp.form, self.k, budget=F0_RANK_BUDGET)
+            if r.value >= 3:
+                return cand, {"f0_index": i, "f0_certified": r.certified, "scanned": i + 1}, comp
+            uncertified |= not r.certified
+        reason = "budget" if uncertified else "absent-at-cap"
+        return None, {"scanned": scanned, "reason": reason}, None
+
 
 def build_l_complex(
     form: LinkingForm,
@@ -191,13 +214,9 @@ def build_l_complex(
         )
     if count == 0:
         return LComplex(form, k, flag=FlagComplex([], np.zeros((0, 0), dtype=bool)))
-    # vertex i is the i-th pair of the row-major scan, as in w_morphism_by_index
-    X, N, D = form.torsion_matrix(k), form._numerator_array, form.denominator
-    pairs, found = _kernels.pairs_hitting(X, N, D, D // k, count)
-    if found != count:
-        raise InvariantError(f"pair scan found {found} morphisms, the row counts {count}")
+    X, pairs = _w_pair_scan(form, k, count)
     xi, yi = np.ascontiguousarray(pairs.T)
-    adj = _kernels.orth_adjacency(X, xi, yi, N, D)
+    adj = _kernels.orth_adjacency(X, xi, yi, form._numerator_array, form.denominator)
     np.fill_diagonal(adj, False)
     edges = int(np.count_nonzero(adj)) // 2  # adj is symmetric
     if edges > DEFAULT_EDGE_CAP:
@@ -300,50 +319,15 @@ class PathResult:
         return self.status == "ok"
 
 
-def _select_f0(L: LComplex) -> tuple[FormMorphism, dict, Subform]:
-    """The hub, its selection stats and its orthogonal complement, cached
-    on ``L`` so that later queries reuse the complement's lattice work."""
-    if L._f0_cache is not None:
-        return L._f0_cache
-    scanned = 0
-    any_uncertified = False
-    for i in range(min(F0_SCAN, L.vertex_count)):
-        cand = L.vertex(i)
-        comp = L.complement_of(cand)
-        try:
-            r = k_rank(comp.form, L.k, budget=F0_RANK_BUDGET)
-        except BudgetExhausted:
-            any_uncertified = True
-            continue
-        scanned += 1
-        if r.value >= 3:
-            stats = {
-                "f0_index": i,
-                "f0_certified": r.certified,
-                "scanned": scanned,
-            }
-            L._f0_cache = (cand, stats, comp)
-            return L._f0_cache
-        if not r.certified:
-            any_uncertified = True
-    raise _NoF0(scanned, any_uncertified)
-
-
-class _NoF0(Exception):
-    def __init__(self, scanned, uncertified):
-        self.scanned = scanned
-        self.uncertified = uncertified
-
-
 def find_short_path(L: LComplex, f, g) -> PathResult:
     """Constructive path of length at most 4 via a hub morphism.
 
-    The hub f0 is the first of the first ``F0_SCAN`` vertices in
-    enumeration order whose complement has block rank at least 3 (checked
-    within ``F0_RANK_BUDGET``; an uncertified rank value is accepted and
-    flagged).  Each endpoint reaches the hub through a
-    morphism into the intersection of its complement with the hub's, and
-    both legs plus shortcuts keep the path length at or below 4.
+    Equal and adjacent ends are the only shortcuts.  Other paths run
+    through the hub ``L.hub``, found once per complex; without one the
+    answer is "no-f0" with the stats of that one search.  Each endpoint
+    reaches the hub through a morphism into the intersection of its
+    complement with the hub's, and both legs plus shortcuts keep the path
+    length at or below 4.
     """
     f = L.vertex(f)
     g = L.vertex(g)
@@ -351,18 +335,10 @@ def find_short_path(L: LComplex, f, g) -> PathResult:
         return PathResult("ok", [f], {"shortcut": "equal"})
     if images_orthogonal(f, g):
         return PathResult("ok", [f, g], {"shortcut": "adjacent"})
-    try:
-        f0, stats, comp_f0 = _select_f0(L)
-    except _NoF0 as exc:
-        return PathResult(
-            "no-f0",
-            None,
-            {
-                "scanned": exc.scanned,
-                "reason": "budget" if exc.uncertified else "absent-at-cap",
-            },
-        )
+    f0, stats, comp_f0 = L.hub
     stats = dict(stats)
+    if f0 is None:
+        return PathResult("no-f0", None, stats)
 
     def leg(u: FormMorphism) -> list[FormMorphism] | None:
         if u.key() == f0.key():
@@ -438,7 +414,8 @@ class WitnessResult:
 def _bfs_path(L: LComplex, i0: int, i1: int) -> list[int] | None:
     """A shortest path of vertex indices from i0 to i1 in the materialized
     complex, or None when they lie in different components."""
-    parent = breadth_first(i0, L.flag._neighbours(), goal=i1)
+    adj = L.flag.adj
+    parent = breadth_first(i0, lambda i: np.flatnonzero(adj[i]).tolist(), goal=i1)
     if i1 not in parent:
         return None
     path = [i1]
@@ -449,24 +426,20 @@ def _bfs_path(L: LComplex, i0: int, i1: int) -> list[int] | None:
 
 def transitivity_witness(L: LComplex, f0, f1) -> WitnessResult:
     """Automorphism h of the form with h o f0 = f1, composed from
-    per-edge block swaps along a path between the two vertices."""
-    m0 = L.vertex(f0)
-    m1 = L.vertex(f1)
-    if m0.key() == m1.key():
-        h = identity_morphism(L.form)
-        return WitnessResult("ok", h, [m0], {"length": 0})
-    if images_orthogonal(m0, m1):
-        path = [m0, m1]
-    elif L.materialized:
+    per-edge block swaps along a path from f0 to f1: a shortest path
+    (``_bfs_path``) in a materialized complex, ``find_short_path`` in a
+    lazy one, with no shortcut of its own."""
+    if L.materialized:
         idx = _bfs_path(L, L.index_of(f0), L.index_of(f1))
         if idx is None:
             return WitnessResult("path-not-found", None, None, {})
         path = [L.vertex(i) for i in idx]
     else:
-        res = find_short_path(L, m0, m1)
+        res = find_short_path(L, f0, f1)
         if not res:
             return WitnessResult("path-not-found", None, None, res.stats)
         path = res.path
+    m0, m1 = path[0], path[-1]
     h = identity_morphism(L.form)
     for a, b in zip(path, path[1:]):
         h = edge_swap_automorphism(a, b).compose(h)

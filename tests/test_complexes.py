@@ -790,6 +790,21 @@ def test_reflection_orbits_merge_with_rotation():
     assert rep2.single_orbit
 
 
+def test_breadth_first_from_the_goal_lists_no_neighbours():
+    """A search whose start is its goal returns at once, without walking
+    the start's component."""
+    calls = []
+
+    def neighbours(v):  # the path 0 - 1 - 2 - 3
+        calls.append(v)
+        return [u for u in (v - 1, v + 1) if 0 <= u < 4]
+
+    assert complexes.breadth_first(0, neighbours, goal=0) == {0: None}
+    assert calls == []
+    assert complexes.breadth_first(0, neighbours, goal=2) == {0: None, 1: 0, 2: 1}
+    assert calls == [0, 1]
+
+
 def _nx_components(vertices, edges):
     G = nx.Graph()
     G.add_nodes_from(vertices)

@@ -15,6 +15,7 @@ from linkforms import (
     FormMorphism,
     GroupHom,
     InputError,
+    InvariantError,
     LinkingForm,
     QZValue,
     Subgroup,
@@ -637,9 +638,52 @@ def test_hub_complement_is_computed_once(monkeypatch):
         res = find_short_path(L, rng.randrange(L.vertex_count), rng.randrange(L.vertex_count))
         assert res
         hub_queries += "f0_index" in res.stats
-    f0 = L._f0_cache[0]
+    f0 = L.hub[0]
     assert hub_queries == 4
     assert calls.count(tuple(img.coeffs for img in f0.images)) == 1
+
+
+def _zero_form(k, rank):
+    """The zero form on (Z/k)^rank: every element lies in the radical."""
+    return LinkingForm._from_numerators(FinAbGroup.of(*[k] * rank), 1, [[0] * rank] * rank)
+
+
+@pytest.mark.parametrize("form, reason", [
+    (w_power(3, 3), "absent-at-cap"),
+    (direct_sum(w_power(3, 3), _zero_form(3, 2)), "budget"),
+], ids=["W_3^3", "W_3^3+zero^2"])
+def test_hubless_complex_searches_for_a_hub_once(monkeypatch, form, reason):
+    """A lazy complex without a hub pays for the hub search on its first
+    path query only: later paths and witnesses run no ``k_rank`` and answer
+    with the first query's stats, key for key and in the same order.  Each
+    complement of a vertex of W_3^3 has block rank 2; with the zero form
+    added, the complements' rank searches stop uncertified."""
+    calls = []
+    real = lcomplex.k_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lcomplex, "k_rank", counting)
+    monkeypatch.setattr(lcomplex, "F0_SCAN", 3)
+    L = build_l_complex(form, 3)
+    assert not L.materialized
+    rng = random.Random(7)
+    pairs = []
+    while len(pairs) < 7:
+        i, j = rng.randrange(L.vertex_count), rng.randrange(L.vertex_count)
+        if i != j and not images_orthogonal(L.vertex(i), L.vertex(j)):
+            pairs.append((i, j))
+    first = find_short_path(L, *pairs[0])
+    assert first.status == "no-f0"
+    assert list(first.stats.items()) == [("scanned", 3), ("reason", reason)]
+    assert len(calls) == 3
+    for n, (i, j) in enumerate(pairs[1:]):
+        res = (find_short_path, transitivity_witness)[n % 2](L, i, j)
+        assert not res
+        assert list(res.stats.items()) == list(first.stats.items())
+    assert len(calls) == 3
 
 
 def test_lazy_paths_on_w3_fifth_power():
@@ -806,6 +850,62 @@ def test_witness_lazy_through_hub():
     h = res.automorphism
     assert h(m0.x) == m1.x and h(m0.y) == m1.y
     assert res.stats["length"] <= 4
+
+
+def _witness_before_one_route(L, f0, f1):
+    """``transitivity_witness`` as it was with its own equal and adjacent
+    shortcuts ahead of the BFS and hub routes: the oracle for the one
+    route."""
+    m0 = L.vertex(f0)
+    m1 = L.vertex(f1)
+    if m0.key() == m1.key():
+        h = identity_morphism(L.form)
+        return lcomplex.WitnessResult("ok", h, [m0], {"length": 0})
+    if images_orthogonal(m0, m1):
+        path = [m0, m1]
+    elif L.materialized:
+        idx = _bfs_path(L, L.index_of(f0), L.index_of(f1))
+        if idx is None:
+            return lcomplex.WitnessResult("path-not-found", None, None, {})
+        path = [L.vertex(i) for i in idx]
+    else:
+        res = find_short_path(L, m0, m1)
+        if not res:
+            return lcomplex.WitnessResult("path-not-found", None, None, res.stats)
+        path = res.path
+    h = identity_morphism(L.form)
+    for a, b in zip(path, path[1:]):
+        h = edge_swap_automorphism(a, b).compose(h)
+    if h(m0.x) != m1.x or h(m0.y) != m1.y:
+        raise InvariantError("witness fails to carry f0 to f1")
+    return lcomplex.WitnessResult("ok", h, path, {"length": len(path) - 1})
+
+
+def _witness_pairs(L):
+    """An equal, an adjacent and a hub (lazy) or BFS (materialized) pair
+    of vertex indices, the last at distance at least 2."""
+    comp = L.complement_of(L.vertex(1))
+    neighbour = L.index_of(comp.embed_morphism(first_w_morphism(comp.form, L.k)))
+    if not L.materialized:
+        return [(5, 5), (1, neighbour), (1, 9_999_999)]
+    comp = next(c for c in L.components() if 1 in c)
+    return [(5, 5), (1, neighbour), (1, min(v for v in comp if v != 1 and not L.flag.adj[1, v]))]
+
+
+def test_witness_route_matches_the_shortcut_oracle(L2):
+    """Equal, adjacent and farther pairs on lazy W_3^4 and materialized
+    W_3^2 get the oracle's path, automorphism and stats."""
+    for L in (build_l_complex(w_power(3, 4), 3), L2):
+        lengths = []
+        for i, j in _witness_pairs(L):
+            got = transitivity_witness(L, i, j)
+            want = _witness_before_one_route(L, i, j)
+            assert got.status == want.status == "ok"
+            assert [m.key() for m in got.path] == [m.key() for m in want.path]
+            assert got.automorphism.images == want.automorphism.images
+            assert got.stats == want.stats
+            lengths.append(got.stats["length"])
+        assert lengths[:2] == [0, 1] and lengths[2] >= 2
 
 
 def test_witness_explicit_path(L2):

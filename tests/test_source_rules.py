@@ -31,6 +31,20 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_no_private_attribute_is_set_from_outside():
+    """Package code assigns a private attribute only on ``self`` or
+    ``cls``, so a cache lives with the object that owns it."""
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []
+
+
 def test_every_top_level_name_is_used():
     """Each top-level function and class is named somewhere in the package
     outside its own definition (an ``__init__`` export counts), so nothing
